@@ -618,6 +618,7 @@ class EvolutionEngine:
             event_log_offset=self.events.size(),
             stopped=self.stopped,
         )
+        self.events.sync()
         save_checkpoint(self.store.checkpoint_path, ckpt)
 
 

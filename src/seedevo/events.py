@@ -10,8 +10,11 @@ allocation snapshot after each iteration's update), and "stopping"
 from __future__ import annotations
 
 import json
+import os
 import threading
 from pathlib import Path
+
+from .errors import CorruptStateError
 
 
 def encode_event(event: dict) -> bytes:
@@ -36,20 +39,33 @@ class EventLog:
         with self._lock:
             return self.path.stat().st_size if self.path.exists() else 0
 
+    def sync(self) -> None:
+        """Make every appended event durable.  Called before a
+        checkpoint records size(), so that offset never runs past the
+        bytes on disk."""
+        with self._lock:
+            with open(self.path, "ab") as fh:
+                os.fsync(fh.fileno())
+
     def truncate_to(self, offset: int) -> None:
         """Drop any events written after the given byte offset.
 
         Used on resume: events past the last checkpoint belong to an
-        iteration that will be replayed.
+        iteration that will be replayed.  A log missing or shorter than
+        the offset has lost checkpointed events: CorruptStateError.
         """
         with self._lock:
             if not self.path.exists():
                 if offset:
-                    raise FileNotFoundError(f"event log missing, cannot keep {offset} bytes")
+                    raise CorruptStateError(
+                        f"event log missing, cannot keep {offset} bytes: {self.path}"
+                    )
                 return
             size = self.path.stat().st_size
             if size < offset:
-                raise ValueError(f"event log shorter ({size}) than checkpoint offset ({offset})")
+                raise CorruptStateError(
+                    f"event log shorter ({size}) than checkpoint offset ({offset}): {self.path}"
+                )
             if size > offset:
                 with open(self.path, "r+b") as fh:
                     fh.truncate(offset)

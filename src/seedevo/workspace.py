@@ -10,17 +10,20 @@ root:
         run_config.json     effective config for audit and resume
         events.jsonl        append-only event log
         checkpoint.json     atomic per-iteration snapshot
-        archive_index.json  id -> archive metadata
         archives/<id>/      manifest.json, experiments/, solution/, logs/
         workspaces/iter_NNNN/slot_NN/
+
+Archive ids are it{iteration:04d}_slot{slot:02d}.  Each archive's
+manifest is the only record of it, and paths are derived from the
+output root, so a root can be moved or resumed from any directory.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
-import threading
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
@@ -65,15 +68,15 @@ class ArchiveRef:
         }
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ArchiveRef":
+    def from_manifest(cls, path: Path, manifest: dict) -> "ArchiveRef":
         return cls(
-            id=raw["id"],
-            path=Path(raw["path"]),
-            score=raw["score"],
-            operator=raw["operator"],
-            iteration=raw["iteration"],
-            slot=raw["slot"],
-            parent_ids=tuple(raw.get("parent_ids", ())),
+            id=manifest["id"],
+            path=path,
+            score=manifest["score"],
+            operator=manifest["operator"] or "",
+            iteration=manifest["iteration"],
+            slot=manifest["slot"],
+            parent_ids=tuple(manifest["parent_ids"]),
         )
 
 
@@ -264,15 +267,7 @@ def archive_run(
     }
     _atomic_write_json(archive_dir / "manifest.json", manifest)
     marker.write_text(archive_id, encoding="utf-8")
-    return ArchiveRef(
-        id=archive_id,
-        path=archive_dir,
-        score=outcome.score,
-        operator=seed_info.get("operator", ""),
-        iteration=iteration,
-        slot=slot,
-        parent_ids=tuple(manifest["parent_ids"]),
-    )
+    return ArchiveRef.from_manifest(archive_dir, manifest)
 
 
 # -- checkpointing ----------------------------------------------------
@@ -358,11 +353,10 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
 
 
 class RunStore:
-    """Filesystem layout and archive registry for one output root."""
+    """Filesystem layout of one output root."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._lock = threading.Lock()
 
     # paths
     @property
@@ -376,10 +370,6 @@ class RunStore:
     @property
     def checkpoint_path(self) -> Path:
         return self.root / "checkpoint.json"
-
-    @property
-    def index_path(self) -> Path:
-        return self.root / "archive_index.json"
 
     @property
     def archives_dir(self) -> Path:
@@ -397,7 +387,6 @@ class RunStore:
         store.root.mkdir(parents=True, exist_ok=True)
         store.archives_dir.mkdir(exist_ok=True)
         store.workspaces_dir.mkdir(exist_ok=True)
-        store._write_index({})
         return store
 
     @classmethod
@@ -434,7 +423,7 @@ class RunStore:
         slot: int,
     ) -> ArchiveRef:
         archive_id = self.archive_id(iteration, slot)
-        ref = archive_run(
+        return archive_run(
             workspace=workspace,
             outcome=outcome,
             archive_dir=self.archives_dir / archive_id,
@@ -443,51 +432,33 @@ class RunStore:
             iteration=iteration,
             slot=slot,
         )
-        with self._lock:
-            index = self._read_index()
-            index[archive_id] = ref.to_dict()
-            self._write_index(index)
-        return ref
 
     def resolve_archive(self, archive_id: str) -> ArchiveRef:
-        index = self._read_index()
-        if archive_id not in index:
-            raise CorruptStateError(f"archive id not in registry: {archive_id}")
-        ref = ArchiveRef.from_dict(index[archive_id])
-        if not ref.path.is_dir():
-            raise CorruptStateError(f"archive directory missing: {ref.path}")
+        """Rebuild a reference from the archive's own manifest; the path
+        is always this root's archives/<id>, never a stored string."""
+        path = self.archives_dir / archive_id
+        manifest_path = path / "manifest.json"
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            ref = ArchiveRef.from_manifest(path, manifest)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise CorruptStateError(f"archive manifest unreadable: {manifest_path}: {exc}") from exc
+        if ref.id != archive_id:
+            raise CorruptStateError(f"archive manifest {manifest_path} names id {ref.id!r}")
         return ref
 
     def prune_after_iteration(self, iteration: int) -> None:
-        """Remove workspaces, archives, and registry rows produced after
-        the given iteration.  Resume replays that work; stale
-        directories would collide with the deterministic names."""
-        if self.workspaces_dir.is_dir():
-            for entry in sorted(self.workspaces_dir.iterdir()):
-                if entry.name.startswith("iter_") and int(entry.name[5:]) > iteration:
+        """Remove workspaces and archives produced after the given
+        iteration.  Resume replays that work; stale directories would
+        collide with the deterministic names.  The iteration is read
+        from each directory's name; entries whose names carry none are
+        left alone."""
+        # directory names as workspace_path and archive_id build them
+        named = ((self.workspaces_dir, r"iter_(\d+)"), (self.archives_dir, r"it(\d+)_slot\d+"))
+        for directory, pattern in named:
+            if not directory.is_dir():
+                continue
+            for entry in sorted(directory.iterdir()):
+                match = re.fullmatch(pattern, entry.name)
+                if match and int(match.group(1)) > iteration and entry.is_dir():
                     shutil.rmtree(entry)
-        with self._lock:
-            index = self._read_index()
-            keep = {}
-            for archive_id, raw in index.items():
-                if raw.get("iteration", 0) > iteration:
-                    target = self.archives_dir / archive_id
-                    if target.is_dir():
-                        shutil.rmtree(target)
-                else:
-                    keep[archive_id] = raw
-            self._write_index(keep)
-
-    def _read_index(self) -> dict:
-        if not self.index_path.exists():
-            return {}
-        try:
-            raw = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CorruptStateError(f"archive_index.json unreadable: {exc}") from exc
-        return raw.get("archives", {})
-
-    def _write_index(self, archives: dict) -> None:
-        _atomic_write_json(
-            self.index_path, {"schema_version": SCHEMA_VERSION, "archives": archives}
-        )

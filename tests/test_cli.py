@@ -115,6 +115,28 @@ def test_resume_missing_run_dir_exits_3(tmp_path):
     assert main(["resume", "--output", str(tmp_path / "nowhere")]) == 3
 
 
+def test_resume_short_event_log_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--output", str(out), "--seed", "3", "--max-iterations", "3",
+                 "--population", "2", "--workers", "1"]) == 0
+    events = out / "events.jsonl"
+    events.write_bytes(events.read_bytes()[: events.stat().st_size // 2])
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert any(line.startswith("corrupt state:") for line in err.splitlines())
+
+
+def test_resume_relative_output_from_another_directory(tmp_path, monkeypatch, capsys):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    assert main(run_args("rel")) == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["resume", "--output", "sub/rel"]) == 0
+    assert "already complete" in capsys.readouterr().out
+
+
 # -- report ----------------------------------------------------------
 
 

@@ -3,6 +3,7 @@ planning, tournaments, and small end-to-end runs."""
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -528,11 +529,63 @@ def test_interrupt_resume_equivalence(tmp_path):
 
     split = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "split")
     split.run(stop_after_iteration=2)
-    resumed = EvolutionEngine.resume(tmp_path / "split", ScriptedExecutor(script))
+    # the interrupted root is moved before it is resumed
+    moved = (tmp_path / "split").rename(tmp_path / "moved")
+    resumed = EvolutionEngine.resume(moved, ScriptedExecutor(script))
     assert resumed.iteration == 2
     resumed.run()
-    assert (tmp_path / "split" / "events.jsonl").read_bytes() == uninterrupted
+    assert (moved / "events.jsonl").read_bytes() == uninterrupted
     assert resumed.pool.best().score == full.pool.best().score
+
+
+def test_event_log_synced_before_each_checkpoint(tmp_path, monkeypatch):
+    import seedevo.engine as engine_module
+
+    calls = []
+    real_save = engine_module.save_checkpoint
+    monkeypatch.setattr(
+        engine_module, "save_checkpoint",
+        lambda path, ckpt: (calls.append("checkpoint"), real_save(path, ckpt)),
+    )
+    config = single_slot_config(max_iterations=2, master_seed=13)
+    engine = EvolutionEngine.start(config, ScriptedExecutor({(1, 0): 0.5}), tmp_path / "run")
+    real_sync = engine.events.sync
+    monkeypatch.setattr(engine.events, "sync", lambda: (calls.append("sync"), real_sync()))
+    engine.run()
+    assert calls == ["sync", "checkpoint"] * 2
+
+
+def test_renamed_finished_root_resumes_as_complete(tmp_path):
+    config = single_slot_config(max_iterations=3, master_seed=13)
+    script = {(1, 0): 0.50, (2, 0): 0.55, (3, 0): 0.60}
+    EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "run").run()
+    moved = (tmp_path / "run").rename(tmp_path / "elsewhere")
+    resumed = EvolutionEngine.resume(moved, ScriptedExecutor(script))
+    assert resumed.stopped and resumed.iteration == 3
+    assert resumed.pool.best().archive.path == moved / "archives" / "it0003_slot00"
+
+
+def test_resume_ignores_legacy_archive_index(tmp_path):
+    # older output roots carry archive_index.json with archive paths as
+    # typed; resume reads each archive's manifest and never this file
+    config = single_slot_config(max_iterations=4, master_seed=13)
+    script = {(1, 0): 0.50, (2, 0): 0.55, (3, 0): 0.53, (4, 0): 0.60}
+    full = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "full")
+    full.run()
+
+    old = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "old")
+    old.run(stop_after_iteration=2)
+    index = tmp_path / "old" / "archive_index.json"
+    stale = {"id": "it0002_slot00", "path": "gone/archives/it0002_slot00", "score": 0.0,
+             "operator": "continue", "iteration": 2, "slot": 0, "parent_ids": []}
+    index.write_text(json.dumps({"schema_version": 1, "archives": {"it0002_slot00": stale}}))
+    before = index.read_bytes()
+    resumed = EvolutionEngine.resume(tmp_path / "old", ScriptedExecutor(script))
+    resumed.run()
+    assert index.read_bytes() == before
+    assert (tmp_path / "old" / "events.jsonl").read_bytes() == (
+        tmp_path / "full" / "events.jsonl"
+    ).read_bytes()
 
 
 def test_resume_prunes_replayed_artifacts(tmp_path):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from seedevo.errors import CorruptStateError
 from seedevo.events import EventLog, encode_event, read_events
 from seedevo.operators import OPERATOR_ORDER, PARENT_CONDITIONED, Operator, parent_count
 from seedevo.rng import derive_rng, derive_seed
@@ -59,14 +60,14 @@ def test_truncate_drops_suffix_only(tmp_path):
 def test_truncate_beyond_size_is_an_error(tmp_path):
     log = EventLog(tmp_path / "events.jsonl")
     log.append({"type": "a"})
-    with pytest.raises(ValueError):
+    with pytest.raises(CorruptStateError):
         log.truncate_to(log.size() + 100)
 
 
 def test_truncate_missing_file(tmp_path):
     log = EventLog(tmp_path / "events.jsonl")
     log.truncate_to(0)  # fine: nothing to drop
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(CorruptStateError):
         log.truncate_to(10)
 
 

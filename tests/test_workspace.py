@@ -435,3 +435,27 @@ def test_store_prune_removes_later_iterations_only(tmp_path):
     assert store.workspace_path(1, 0).exists()
     assert not (store.workspaces_dir / "iter_0002").exists()
     assert not (store.workspaces_dir / "iter_0003").exists()
+
+
+def test_store_prune_leaves_unparsable_entries(tmp_path):
+    store = RunStore.create(tmp_path / "run")
+    ws = build_tree(tmp_path / "ws", {"x": "x"})
+    store.archive_run(ws, verified_outcome(), {"operator": "initial", "parents": []}, 2, 0)
+    strays = [store.workspaces_dir / "iter_notes", store.archives_dir / "notes"]
+    for stray in strays:
+        build_tree(stray, {"keep.txt": "keep"})
+    store.prune_after_iteration(1)
+    assert not (store.archives_dir / "it0002_slot00").exists()
+    for stray in strays:
+        assert (stray / "keep.txt").read_text() == "keep"
+
+
+def test_store_resolve_reads_manifest_not_stored_path(tmp_path):
+    store = RunStore.create(tmp_path / "run")
+    ws = build_tree(tmp_path / "ws", {"x": "x"})
+    store.archive_run(ws, verified_outcome(0.7), {"operator": "initial", "parents": []}, 1, 0)
+    moved = RunStore((tmp_path / "run").rename(tmp_path / "moved"))
+    assert moved.resolve_archive("it0001_slot00").path == moved.archives_dir / "it0001_slot00"
+    (moved.archives_dir / "it0001_slot00" / "manifest.json").write_text("{mangled")
+    with pytest.raises(CorruptStateError, match="manifest.json"):
+        moved.resolve_archive("it0001_slot00")
