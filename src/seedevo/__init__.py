@@ -13,12 +13,8 @@ from .engine import (
     EliteEntry,
     ElitePool,
     EvolutionEngine,
-    MetricDirection,
     StoppingState,
     TournamentRecord,
-    better,
-    improvement,
-    run_evolution,
 )
 from .executors import (
     ExperimentRecord,
@@ -29,6 +25,7 @@ from .executors import (
 )
 from .hedge import HedgeConfig, HedgeState, ObservedGain
 from .operators import Operator
+from .scoring import MetricDirection, better, improvement
 from .workspace import ArchiveRef, Checkpoint, CurationRules
 
 __version__ = "0.1.0"
@@ -57,5 +54,4 @@ __all__ = [
     "better",
     "improvement",
     "load_config",
-    "run_evolution",
 ]

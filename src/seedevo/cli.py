@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from . import compression, reporting
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_json_object
 from .engine import EvolutionEngine
 from .errors import ConfigurationError, CorruptStateError, SeedevoError
 from .events import read_events
@@ -50,7 +50,7 @@ def _config_overrides(args: argparse.Namespace) -> dict:
         overrides["external_command"] = args.external_command
         overrides["executor"] = "external"
     if getattr(args, "sim_params", None):
-        overrides["sim_params"] = json.loads(Path(args.sim_params).read_text(encoding="utf-8"))
+        overrides["sim_params"] = read_json_object(args.sim_params, "sim_params")
     return overrides
 
 
@@ -131,16 +131,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.print_config:
         print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
-    executor = build_executor(config)
-    engine = EvolutionEngine.start(config, executor, args.output)
-    best = engine.run()
-    _write_report(args.output, "json", args.output / "report")
-    if best is not None and best.valid:
-        print(f"stopped after iteration {engine.iteration}; best score {best.score!r} "
-              f"(slot {best.slot}, {best.origin_operator})")
-    else:
-        print(f"stopped after iteration {engine.iteration}; no verified result")
-    return EXIT_OK
+    engine = EvolutionEngine.start(config, build_executor(config), args.output)
+    return _run_to_end(engine, args.output)
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
@@ -148,10 +140,16 @@ def cmd_resume(args: argparse.Namespace) -> int:
     if engine.stopped:
         print(f"run already complete at iteration {engine.iteration}")
         return EXIT_OK
+    return _run_to_end(engine, args.output)
+
+
+def _run_to_end(engine: EvolutionEngine, output_root: Path) -> int:
+    """Finish the run, write its JSON report and print the result."""
     best = engine.run()
-    _write_report(args.output, "json", args.output / "report")
+    _write_report(output_root, "json", output_root / "report")
     if best is not None and best.valid:
-        print(f"stopped after iteration {engine.iteration}; best score {best.score!r}")
+        print(f"stopped after iteration {engine.iteration}; best score {best.score!r} "
+              f"(slot {best.slot}, {best.origin_operator})")
     else:
         print(f"stopped after iteration {engine.iteration}; no verified result")
     return EXIT_OK
@@ -177,9 +175,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    raw_params = {}
-    if args.params:
-        raw_params = json.loads(Path(args.params).read_text(encoding="utf-8"))
+    raw_params = read_json_object(args.params, "params") if args.params else {}
     params = SimModelParams.from_dict(raw_params)
 
     def collect(root: Path) -> list[dict]:
@@ -238,9 +234,7 @@ def cmd_compress(args: argparse.Namespace) -> int:
         raise ConfigurationError("budget", str(exc)) from exc
     try:
         history = compression.load_transcript(args.transcript)
-    except OSError as exc:
-        raise ConfigurationError("transcript", str(exc)) from exc
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigurationError("transcript", str(exc)) from exc
     summarizer = compression.head_fraction_summarizer(args.summary_fraction)
     compression.compress_pending(history, summarizer, budget)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -53,11 +53,6 @@ class SelectionStatus(str, Enum):
     COMPRESSED = "compressed"
     TRUNCATE = "truncate"
     DROP = "drop"
-
-
-class CompressionStatus(IntEnum):
-    PENDING = 0
-    COMPRESSED = 1
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,6 @@ class MessageGroup:
     """Atomic selection unit: either a single message, or an AI
     tool-call message fused with its tool responses."""
 
-    index: int
     member_ids: tuple[int, ...]
 
 
@@ -130,8 +124,6 @@ class BudgetConfig:
     recent_groups_protected: int = 5
     window_groups: int = 50
     min_compress_tokens: int = 50
-    periodic_interval_steps: int = 100
-    batch_size: int = 2
     truncate_head_tokens: int = TRUNCATE_HEAD_TOKENS
 
     def __post_init__(self):
@@ -139,24 +131,18 @@ class BudgetConfig:
             raise ValueError("target_tokens must be below trigger_tokens")
         if self.recent_groups_protected > self.window_groups:
             raise ValueError("recent_groups_protected cannot exceed window_groups")
-        for name in (
-            "trigger_tokens",
-            "target_tokens",
-            "window_groups",
-            "batch_size",
-            "periodic_interval_steps",
-        ):
+        for name in ("trigger_tokens", "target_tokens", "window_groups"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 
 class MessageHistory:
-    """Ordered transcript plus per-message compression state."""
+    """Ordered transcript plus per-message compression state: a
+    message is pending until stage one puts its form in cache."""
 
     def __init__(self, counter: TokenCounter = count_tokens):
         self.counter = counter
         self.messages: list[Message] = []
-        self.compression_status: dict[int, CompressionStatus] = {}
         self.cache: dict[int, CompressedForm] = {}
         self.diagnostics: list[str] = []
 
@@ -172,7 +158,6 @@ class MessageHistory:
             raise ValueError(f"duplicate message id {msg_id!r}")
         msg = Message.create(msg_id, role, text, tool_call_args, self.counter)
         self.messages.append(msg)
-        self.compression_status[msg.id] = CompressionStatus.PENDING
         return msg
 
     def get(self, msg_id: int) -> Message:
@@ -181,15 +166,8 @@ class MessageHistory:
                 return m
         raise KeyError(msg_id)
 
-    def total_tokens(self) -> int:
-        return sum(m.token_count for m in self.messages)
-
     def pending_ids(self) -> list[int]:
-        return [
-            m.id
-            for m in self.messages
-            if self.compression_status[m.id] is CompressionStatus.PENDING
-        ]
+        return [m.id for m in self.messages if m.id not in self.cache]
 
 
 def group_messages(history: MessageHistory) -> list[MessageGroup]:
@@ -206,7 +184,7 @@ def group_messages(history: MessageHistory) -> list[MessageGroup]:
     def flush():
         nonlocal members, absorbing
         if members:
-            groups.append(MessageGroup(index=len(groups), member_ids=tuple(members)))
+            groups.append(MessageGroup(member_ids=tuple(members)))
         members = []
         absorbing = False
 
@@ -230,35 +208,25 @@ def group_messages(history: MessageHistory) -> list[MessageGroup]:
 
 
 def compress_pending(
-    history: MessageHistory,
-    summarizer: Summarizer,
-    budget: BudgetConfig,
-    pacer: Callable[[], None] | None = None,
+    history: MessageHistory, summarizer: Summarizer, budget: BudgetConfig
 ) -> list[str]:
     """Stage one: fill the compressed cache for every pending message.
 
     Messages under min_compress_tokens are copied through verbatim.
     Longer ones get a summary, kept only if strictly shorter; long
     tool-call argument values are summarized per key under the same
-    rule.  Work proceeds in batches of batch_size with an optional
-    pacing hook between batches (rate limiting lives there).  A
-    summarizer failure leaves its message pending and is reported, not
-    raised.
+    rule.  A summarizer failure leaves its message pending and is
+    reported, not raised.
     """
     diagnostics: list[str] = []
-    pending = history.pending_ids()
-    for start in range(0, len(pending), budget.batch_size):
-        if start > 0 and pacer is not None:
-            pacer()
-        for msg_id in pending[start : start + budget.batch_size]:
-            msg = history.get(msg_id)
-            try:
-                form = _compress_one(msg, summarizer, budget, history.counter)
-            except Exception as exc:
-                diagnostics.append(f"summarizer failed on {msg_id}: {exc}")
-                continue
-            history.cache[msg_id] = form
-            history.compression_status[msg_id] = CompressionStatus.COMPRESSED
+    for msg_id in history.pending_ids():
+        msg = history.get(msg_id)
+        try:
+            form = _compress_one(msg, summarizer, budget, history.counter)
+        except Exception as exc:
+            diagnostics.append(f"summarizer failed on {msg_id}: {exc}")
+            continue
+        history.cache[msg_id] = form
     history.diagnostics.extend(diagnostics)
     return diagnostics
 
@@ -319,9 +287,7 @@ def group_status_tokens(
 
 
 def _group_pending(history: MessageHistory, group: MessageGroup) -> bool:
-    return any(
-        history.compression_status[mid] is CompressionStatus.PENDING for mid in group.member_ids
-    )
+    return any(mid not in history.cache for mid in group.member_ids)
 
 
 def select_statuses(
@@ -435,17 +401,6 @@ def rendered_token_total(
     return sum(_payload_tokens(r.text, r.tool_call_args, history.counter) for r in rendered)
 
 
-def maybe_trigger(
-    active_tokens: int, steps_since_compression: int, budget: BudgetConfig
-) -> bool:
-    """Compression fires past the token trigger or on the periodic
-    step schedule, whichever comes first."""
-    return (
-        active_tokens > budget.trigger_tokens
-        or steps_since_compression >= budget.periodic_interval_steps
-    )
-
-
 def head_fraction_summarizer(fraction: float = 0.1) -> Summarizer:
     """Built-in deterministic summarizer: keep the leading fraction of
     the text.  Stands in where no language model is wired up."""
@@ -477,8 +432,12 @@ def load_transcript(path: Path, counter: TokenCounter = count_tokens) -> Message
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             if not isinstance(raw, dict) or "role" not in raw or "text" not in raw:
                 raise ValueError(f"{path}:{lineno}: need role and text fields")
+            if not isinstance(raw["text"], str):
+                raise ValueError(f"{path}:{lineno}: text must be a string")
             args = raw.get("tool_call_args")
             if args is not None:
+                if not isinstance(args, dict):
+                    raise ValueError(f"{path}:{lineno}: tool_call_args must be an object")
                 args = {str(k): str(v) for k, v in args.items()}
             msg_id = raw.get("id")
             if msg_id is not None and not isinstance(msg_id, int):
@@ -495,8 +454,8 @@ def write_selection_sidecar(
         "over_budget": result.over_budget,
         "total_tokens": result.total_tokens,
         "groups": [
-            {"index": g.index, "member_ids": list(g.member_ids), "status": s.value}
-            for g, s in zip(groups, result.statuses)
+            {"index": i, "member_ids": list(g.member_ids), "status": s.value}
+            for i, (g, s) in enumerate(zip(groups, result.statuses))
         ],
     }
     Path(path).write_text(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -39,6 +39,9 @@ DEFAULT_FLOORS = {
 DEFAULT_CEILINGS = {Operator.MERGE: 0.30}
 
 DEFAULT_MAX_FILE_BYTES = 64 * 1024 * 1024
+
+#: Config fields that map operators to probabilities.
+PROB_MAPS = ("base_probs", "floors", "ceilings")
 
 
 @dataclass
@@ -122,42 +125,20 @@ class RunConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "workers": self.workers,
-            "base_probs": {op.value: p for op, p in self.base_probs.items()},
-            "floors": {op.value: p for op, p in self.floors.items()},
-            "ceilings": {op.value: p for op, p in self.ceilings.items()},
-            "learning_rate": self.learning_rate,
-            "clip_cap": self.clip_cap,
-            "max_bound_iterations": self.max_bound_iterations,
-            "max_iterations": self.max_iterations,
-            "patience": self.patience,
-            "improvement_threshold": self.improvement_threshold,
-            "continue_parents_min": self.continue_parents_min,
-            "continue_parents_max": self.continue_parents_max,
-            "num_training_runs": self.num_training_runs,
-            "higher_is_better": self.higher_is_better,
-            "master_seed": self.master_seed,
-            "executor": self.executor,
-            "sim_params": self.sim_params,
-            "external_command": self.external_command,
-            "external_timeout_seconds": self.external_timeout_seconds,
-            "data_path": self.data_path,
-            "data_provisioning": self.data_provisioning,
-            "max_file_bytes": self.max_file_bytes,
-            "excluded_globs": list(self.excluded_globs),
-        }
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in PROB_MAPS:
+            raw[key] = {op.value: p for op, p in raw[key].items()}
+        return raw
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = set(cls().to_dict())
+        known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ConfigurationError(sorted(unknown)[0], "unknown config key")
         merged = cls().to_dict()
         merged.update(raw)
-        for key in ("base_probs", "floors", "ceilings"):
+        for key in PROB_MAPS:
             try:
                 merged[key] = {Operator(k): float(v) for k, v in merged[key].items()}
             except ValueError as exc:
@@ -213,15 +194,7 @@ def load_config(
     """Assemble a RunConfig with flags > env > file > defaults."""
     merged = RunConfig().to_dict()
     if config_file is not None:
-        try:
-            raw = json.loads(Path(config_file).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigurationError("config_file", f"cannot read {config_file}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError("config_file", f"invalid JSON in {config_file}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigurationError("config_file", "top level must be an object")
-        _merge_layer(merged, raw)
+        _merge_layer(merged, read_json_object(config_file, "config_file"))
     _merge_layer(merged, _env_overrides(env if env is not None else dict(os.environ)))
     _merge_layer(merged, overrides or {})
     config = RunConfig.from_dict(merged)
@@ -229,10 +202,24 @@ def load_config(
     return config
 
 
+def read_json_object(path: Path, what: str) -> dict:
+    """Parse a JSON file whose top level must be an object; any
+    failure is a ConfigurationError naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigurationError(what, f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(what, f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError(what, "top level must be an object")
+    return raw
+
+
 def _merge_layer(base: dict, layer: dict) -> None:
     """Apply one precedence layer; probability maps merge per operator."""
     for key, value in layer.items():
-        if key in ("base_probs", "floors", "ceilings") and isinstance(value, dict):
+        if key in PROB_MAPS and isinstance(value, dict):
             current = dict(base.get(key) or {})
             current.update(value)
             base[key] = current

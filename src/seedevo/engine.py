@@ -8,6 +8,10 @@ elite of its own slot in a 1:1 tournament, and only a strictly better
 child replaces the incumbent.  Observed improvements feed the
 allocator; the best pool score feeds the stopping rule; a checkpoint is
 written after every iteration.
+
+A run's settings live only in run_config.json.  Starting and resuming
+build the pool, the allocator and the stopping tracker from the config
+the same way; resuming then lays the checkpointed state on top.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from typing import TYPE_CHECKING, Callable
 
 from . import hedge as hedgemod
 from .config import RunConfig
-from .errors import ConfigurationError, CorruptStateError, EvaluationError
+from .errors import ConfigurationError, CorruptStateError
 from .events import EventLog
+from .executors import build_executor
 from .hedge import HedgeState, ObservedGain
 from .operators import Operator
 from .rng import derive_rng
+from .scoring import MetricDirection, better, improvement
 from .workspace import (
     ArchiveRef,
     Checkpoint,
@@ -39,42 +45,7 @@ from .workspace import (
 if TYPE_CHECKING:
     import random
 
-    from .executors import RunOutcome
-
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class MetricDirection:
-    """Which way the evaluation metric improves."""
-
-    higher_is_better: bool = True
-
-    def to_dict(self) -> dict:
-        return {"higher_is_better": self.higher_is_better}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "MetricDirection":
-        return cls(higher_is_better=bool(raw["higher_is_better"]))
-
-
-def _check_finite(value: float, what: str) -> None:
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise EvaluationError(f"{what} must be finite, got {value!r}")
-
-
-def better(a: float, b: float, direction: MetricDirection) -> bool:
-    """True when score a strictly beats score b. Ties are not better."""
-    _check_finite(a, "score a")
-    _check_finite(b, "score b")
-    return a > b if direction.higher_is_better else a < b
-
-
-def improvement(child: float, parent: float, direction: MetricDirection) -> float:
-    """Signed gain of child over parent; positive always means better."""
-    _check_finite(child, "child score")
-    _check_finite(parent, "parent score")
-    return child - parent if direction.higher_is_better else parent - child
 
 
 @dataclass(frozen=True)
@@ -148,19 +119,16 @@ class ElitePool:
         return top
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "direction": self.direction.to_dict(),
-            "entries": [e.to_dict() if e else None for e in self.entries],
-        }
+        """The entries only; size and direction come from the run's
+        settings."""
+        return {"entries": [e.to_dict() if e else None for e in self.entries]}
 
-    @classmethod
-    def from_dict(cls, raw: dict, resolve: Callable[[str], ArchiveRef]) -> "ElitePool":
-        pool = cls(raw["size"], MetricDirection.from_dict(raw["direction"]))
-        pool.entries = [
-            EliteEntry.from_dict(e, resolve) if e is not None else None for e in raw["entries"]
-        ]
-        return pool
+    def restore(self, raw: dict, resolve: Callable[[str], ArchiveRef]) -> None:
+        """Lay saved entries into this pool; their count must be its size."""
+        entries = raw["entries"]
+        if len(entries) != self.size:
+            raise ValueError(f"{len(entries)} pool entries saved, population_size is {self.size}")
+        self.entries = [EliteEntry.from_dict(e, resolve) if e is not None else None for e in entries]
 
 
 @dataclass(frozen=True)
@@ -180,14 +148,6 @@ class AgentSeed:
             raise ConfigurationError("parents", f"merge needs 2 parents, got {len(self.parents)}")
         if self.operator not in (Operator.INITIAL, Operator.MERGE) and len(self.parents) < 1:
             raise ConfigurationError("parents", f"{self.operator} needs at least one parent")
-
-    def to_dict(self) -> dict:
-        return {
-            "operator": self.operator.value,
-            "slot": self.slot,
-            "parents": [p.to_dict() for p in self.parents],
-            "context_params": dict(self.context_params),
-        }
 
 
 @dataclass(frozen=True)
@@ -230,19 +190,6 @@ class StoppingState:
     max_iterations: int
     best_so_far: float | None = None
     stagnation_count: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "patience": self.patience,
-            "max_iterations": self.max_iterations,
-            "best_so_far": self.best_so_far,
-            "stagnation_count": self.stagnation_count,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "StoppingState":
-        return cls(**raw)
 
 
 def update_stopping(
@@ -405,53 +352,37 @@ class EvolutionEngine:
     and persists; run() loops until the stopping rule fires.
     """
 
-    def __init__(
-        self,
-        config: RunConfig,
-        executor,
-        store: RunStore,
-        event_log: EventLog,
-        pool: ElitePool,
-        hedge_state: HedgeState,
-        stopping: StoppingState,
-        iteration: int,
-        stopped: bool = False,
-    ):
+    def __init__(self, config: RunConfig, executor, store: RunStore, event_log: EventLog):
+        """State as before iteration 1, built from the config alone."""
         self.config = config
         self.executor = executor
         self.store = store
         self.events = event_log
-        self.pool = pool
-        self.hedge_state = hedge_state
-        self.stopping = stopping
-        self.iteration = iteration  # last completed iteration
-        self.stopped = stopped
+        self.pool = ElitePool(config.population_size, MetricDirection(config.higher_is_better))
+        self.hedge_state = hedgemod.new_state(config.hedge_config())
+        self.stopping = StoppingState(
+            threshold=config.improvement_threshold,
+            patience=config.patience,
+            max_iterations=config.max_iterations,
+        )
+        self.iteration = 0  # last completed iteration
+        self.stopped = False
 
     @classmethod
     def start(cls, config: RunConfig, executor, output_root: Path) -> "EvolutionEngine":
         config.validate()
         store = RunStore.create(Path(output_root))
         store.write_config(config.to_dict())
-        direction = MetricDirection(config.higher_is_better)
-        return cls(
-            config=config,
-            executor=executor,
-            store=store,
-            event_log=EventLog(store.events_path),
-            pool=ElitePool(config.population_size, direction),
-            hedge_state=hedgemod.new_state(config.hedge_config()),
-            stopping=StoppingState(
-                threshold=config.improvement_threshold,
-                patience=config.patience,
-                max_iterations=config.max_iterations,
-            ),
-            iteration=0,
-        )
+        return cls(config, executor, store, EventLog(store.events_path))
 
     @classmethod
     def resume(cls, output_root: Path, executor=None) -> "EvolutionEngine":
         store = RunStore.open(Path(output_root))
-        config = RunConfig.from_dict(store.read_config())
+        try:
+            config = RunConfig.from_dict(store.read_config())
+            config.validate()
+        except ConfigurationError as exc:
+            raise CorruptStateError(f"run_config.json: {exc}") from exc
         ckpt = load_checkpoint(store.checkpoint_path)
         if ckpt is None:
             raise CorruptStateError("no checkpoint found; nothing to resume")
@@ -459,26 +390,21 @@ class EvolutionEngine:
         event_log = EventLog(store.events_path)
         event_log.truncate_to(ckpt.event_log_offset)
         if executor is None:
-            from .executors import build_executor
-
             executor = build_executor(config)
+        engine = cls(config, executor, store, event_log)
         try:
-            pool = ElitePool.from_dict(ckpt.pool, store.resolve_archive)
-            hedge_state = HedgeState.from_dict(ckpt.hedge)
-            stopping = StoppingState.from_dict(ckpt.stopping)
-        except (KeyError, TypeError, ValueError) as exc:
+            engine.pool.restore(ckpt.pool, store.resolve_archive)
+            engine.hedge_state = HedgeState.from_dict(ckpt.hedge, engine.hedge_state.config)
+            engine.stopping = replace(
+                engine.stopping,
+                best_so_far=ckpt.stopping["best_so_far"],
+                stagnation_count=ckpt.stopping["stagnation_count"],
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CorruptStateError(f"checkpoint state unreadable: {exc}") from exc
-        return cls(
-            config=config,
-            executor=executor,
-            store=store,
-            event_log=event_log,
-            pool=pool,
-            hedge_state=hedge_state,
-            stopping=stopping,
-            iteration=ckpt.iteration,
-            stopped=ckpt.stopped,
-        )
+        engine.iteration = ckpt.iteration
+        engine.stopped = ckpt.stopped
+        return engine
 
     # -- one iteration ------------------------------------------------
 
@@ -544,13 +470,10 @@ class EvolutionEngine:
         self._checkpoint()
         return stop
 
-    def run(self, stop_after_iteration: int | None = None) -> EliteEntry | None:
-        """Loop step() to completion; optionally halt early without
-        marking the run stopped (test hook for interrupt scenarios)."""
+    def run(self) -> EliteEntry | None:
+        """Loop step() to completion and return the best entry."""
         while not self.stopped:
             self.step()
-            if stop_after_iteration is not None and self.iteration >= stop_after_iteration:
-                break
         return self.pool.best()
 
     # -- internals ----------------------------------------------------
@@ -595,7 +518,8 @@ class EvolutionEngine:
         archive = self.store.archive_run(
             workspace=workspace,
             outcome=outcome,
-            seed_info=seed.to_dict(),
+            operator=seed.operator.value,
+            parent_ids=[p.id for p in seed.parents],
             iteration=iteration,
             slot=seed.slot,
         )
@@ -613,16 +537,12 @@ class EvolutionEngine:
             iteration=self.iteration,
             pool=self.pool.to_dict(),
             hedge=self.hedge_state.to_dict(),
-            stopping=self.stopping.to_dict(),
-            rng={"master_seed": self.config.master_seed, "next_iteration": self.iteration + 1},
+            stopping={
+                "best_so_far": self.stopping.best_so_far,
+                "stagnation_count": self.stopping.stagnation_count,
+            },
             event_log_offset=self.events.size(),
             stopped=self.stopped,
         )
         self.events.sync()
         save_checkpoint(self.store.checkpoint_path, ckpt)
-
-
-def run_evolution(config: RunConfig, executor, output_root: Path) -> EliteEntry | None:
-    """Convenience wrapper: fresh engine, run to completion, return best."""
-    engine = EvolutionEngine.start(config, executor, output_root)
-    return engine.run()

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .engine import MetricDirection, better
 from .errors import ConfigurationError
 from .operators import Operator
 from .rng import derive_rng
+from .scoring import MetricDirection, better
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -227,14 +227,12 @@ class ExternalCommandExecutor:
         command: list[str],
         direction: MetricDirection,
         timeout_seconds: float = 1800.0,
-        extra_env: dict[str, str] | None = None,
     ):
         if not command:
             raise ConfigurationError("external_command", "must not be empty")
         self.command = list(command)
         self.direction = direction
         self.timeout_seconds = timeout_seconds
-        self.extra_env = dict(extra_env or {})
 
     def execute(self, seed: "AgentSeed", workspace: Path) -> RunOutcome:
         workspace = Path(workspace)
@@ -255,7 +253,6 @@ class ExternalCommandExecutor:
             argv.append(arg)
 
         env = dict(os.environ)
-        env.update(self.extra_env)
         env[ENV_SEED_MANIFEST] = str(manifest)
         env[ENV_WORKSPACE] = str(workspace)
 

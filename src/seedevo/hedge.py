@@ -15,13 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .operators import Operator
-
-#: Hard cap on enforcement sweeps before the result is renormalized as-is.
-MAX_BOUND_ITERATIONS = 10
 
 #: Convergence tolerance for the bounds-enforcement fixed point.
 _STABLE_EPS = 1e-12
@@ -29,20 +26,20 @@ _STABLE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class HedgeConfig:
-    """Static allocation parameters.
+    """Static allocation parameters; construct through build().
 
-    active_tasks holds the sampling order.  Operators configured with
-    base probability zero are excluded up front and never sampled,
-    ranked, or updated.
+    active_tasks holds the sampling order, which is Operator declaration
+    order.  Operators configured with base probability zero are excluded
+    up front and never sampled, ranked, or updated.
     """
 
     active_tasks: tuple[Operator, ...]
     base_probs: dict[Operator, float]
-    floors: dict[Operator, float] = field(default_factory=dict)
-    ceilings: dict[Operator, float] = field(default_factory=dict)
-    learning_rate: float = 0.15
-    clip_cap: float = 4.0
-    max_bound_iterations: int = MAX_BOUND_ITERATIONS
+    floors: dict[Operator, float]
+    ceilings: dict[Operator, float]
+    learning_rate: float
+    clip_cap: float
+    max_bound_iterations: int
 
     @classmethod
     def build(
@@ -52,13 +49,18 @@ class HedgeConfig:
         ceilings: dict[Operator, float] | None = None,
         learning_rate: float = 0.15,
         clip_cap: float = 4.0,
-        max_bound_iterations: int = MAX_BOUND_ITERATIONS,
+        max_bound_iterations: int = 10,
     ) -> "HedgeConfig":
-        """Validate raw maps and drop zero-probability operators."""
+        """Validate raw maps and drop zero-probability operators.
+
+        The order of base_probs is ignored, so a config read back from
+        run_config.json (whose keys are sorted) samples exactly like
+        the config that wrote it.
+        """
         for op, p in base_probs.items():
             if p < 0.0 or not math.isfinite(p):
                 raise ConfigurationError(f"base_probs[{op}]", f"must be finite and >= 0, got {p}")
-        active = tuple(op for op in base_probs if base_probs[op] > 0.0)
+        active = tuple(op for op in Operator if base_probs.get(op, 0.0) > 0.0)
         if not active:
             raise ConfigurationError("base_probs", "no operator has positive probability")
         total = sum(base_probs[op] for op in active)
@@ -92,29 +94,6 @@ class HedgeConfig:
             max_bound_iterations=max_bound_iterations,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "active_tasks": [op.value for op in self.active_tasks],
-            "base_probs": {op.value: p for op, p in self.base_probs.items()},
-            "floors": {op.value: p for op, p in self.floors.items()},
-            "ceilings": {op.value: p for op, p in self.ceilings.items()},
-            "learning_rate": self.learning_rate,
-            "clip_cap": self.clip_cap,
-            "max_bound_iterations": self.max_bound_iterations,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "HedgeConfig":
-        return cls(
-            active_tasks=tuple(Operator(v) for v in raw["active_tasks"]),
-            base_probs={Operator(k): v for k, v in raw["base_probs"].items()},
-            floors={Operator(k): v for k, v in raw["floors"].items()},
-            ceilings={Operator(k): v for k, v in raw["ceilings"].items()},
-            learning_rate=raw["learning_rate"],
-            clip_cap=raw["clip_cap"],
-            max_bound_iterations=raw["max_bound_iterations"],
-        )
-
 
 @dataclass(frozen=True)
 class HedgeState:
@@ -124,17 +103,19 @@ class HedgeState:
     log_weights: dict[Operator, float]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "log_weights": {op.value: w for op, w in self.log_weights.items()},
-        }
+        """The run state only; the config is rebuilt from the run's
+        settings."""
+        return {"log_weights": {op.value: w for op, w in self.log_weights.items()}}
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "HedgeState":
-        return cls(
-            config=HedgeConfig.from_dict(raw["config"]),
-            log_weights={Operator(k): v for k, v in raw["log_weights"].items()},
-        )
+    def from_dict(cls, raw: dict, config: HedgeConfig) -> "HedgeState":
+        log_weights = {Operator(k): v for k, v in raw["log_weights"].items()}
+        if set(log_weights) != set(config.active_tasks):
+            raise ValueError(
+                f"log-weights for {sorted(op.value for op in log_weights)}, "
+                f"active operators are {sorted(op.value for op in config.active_tasks)}"
+            )
+        return cls(config=config, log_weights=log_weights)
 
 
 @dataclass(frozen=True)
@@ -158,7 +139,7 @@ def enforce_bounds(
     probs: dict[Operator, float],
     floors: dict[Operator, float],
     ceilings: dict[Operator, float],
-    max_iterations: int = MAX_BOUND_ITERATIONS,
+    max_iterations: int = 10,
 ) -> dict[Operator, float]:
     """Push a probability vector inside per-operator box bounds.
 

@@ -1,10 +1,13 @@
 """Task operator vocabulary.
 
 An operator names the kind of task a run is seeded with: start from
-scratch, continue a parent, ablate it, merge two parents, run an
-exploratory analysis, or bootstrap from external material.  Everything
-else in the package treats operators as opaque identifiers plus a
-parent arity.
+scratch, continue a parent, ablate it, merge two parents, bootstrap
+from external material, or run an exploratory analysis.  Everything
+else in the package treats operators as opaque identifiers.
+
+Declaration order is the sampling order: the allocator lays the
+active operators out in this order for its categorical draws, so a
+run samples the same way whatever order its config lists them in.
 """
 
 from __future__ import annotations
@@ -17,35 +20,8 @@ class Operator(str, Enum):
     CONTINUE = "continue"
     ABLATION = "ablation"
     MERGE = "merge"
-    EDA = "eda"
     JUMPSTART = "jumpstart"
+    EDA = "eda"
 
     def __str__(self) -> str:  # keep log/CSV output plain
         return self.value
-
-
-#: Stable presentation order, also the sampling order for categorical draws.
-OPERATOR_ORDER = [
-    Operator.INITIAL,
-    Operator.CONTINUE,
-    Operator.ABLATION,
-    Operator.MERGE,
-    Operator.EDA,
-    Operator.JUMPSTART,
-]
-
-#: Operators that condition on at least one parent archive.
-PARENT_CONDITIONED = frozenset(
-    {Operator.CONTINUE, Operator.ABLATION, Operator.MERGE, Operator.EDA, Operator.JUMPSTART}
-)
-
-
-def parent_count(op: Operator, continue_max_parents: int = 1) -> int:
-    """Number of parent archives a seed of this operator carries."""
-    if op is Operator.INITIAL:
-        return 0
-    if op is Operator.MERGE:
-        return 2
-    if op is Operator.CONTINUE:
-        return continue_max_parents
-    return 1

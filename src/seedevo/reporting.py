@@ -48,9 +48,8 @@ def compute_operator_stats(events: list[dict]) -> list[OperatorStats]:
 
     A tournament qualifies when it had an elite parent (parent_score
     present); invalid children count as losses.  Relative gain is
-    delta over |parent_score|; records with a zero parent score are
-    left out of the median, reported via diagnostics on the result of
-    scan_gain_diagnostics.
+    delta over |parent_score|; records with a zero parent score, whose
+    relative gain is undefined, are left out of the median.
     """
     counts: dict[str, int] = {}
     wins: dict[str, int] = {}
@@ -81,18 +80,6 @@ def compute_operator_stats(events: list[dict]) -> list[OperatorStats]:
             )
         )
     return stats
-
-
-def scan_gain_diagnostics(events: list[dict]) -> list[str]:
-    """Records whose relative gain is undefined (zero parent score)."""
-    out = []
-    for row in tournament_rows(events):
-        if row.get("parent_score") == 0 and row.get("delta") is not None:
-            out.append(
-                f"iteration {row['iteration']} slot {row['slot']}: "
-                "zero parent score, relative gain undefined"
-            )
-    return out
 
 
 def pooled_win_rate(stats: list[OperatorStats], operators: list[str] | None = None) -> float:
@@ -166,57 +153,39 @@ def export_report(
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return [path]
     if fmt == "csv":
-        paths = []
-        stats_path = destination / "operator_stats.csv"
-        with open(stats_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
+        return [
+            _write_table(
+                destination / "operator_stats.csv",
+                ["operator", "tournaments", "wins", "win_rate", "median_relative_gain"],
                 [
-                    "schema_version",
-                    "operator",
-                    "tournaments",
-                    "wins",
-                    "win_rate",
-                    "median_relative_gain",
-                ]
-            )
-            for s in stats:
-                writer.writerow(
-                    [
-                        SCHEMA_VERSION,
-                        s.operator,
-                        s.tournaments,
-                        s.wins,
-                        repr(s.win_rate),
-                        "" if s.median_relative_gain is None else repr(s.median_relative_gain),
-                    ]
-                )
-        paths.append(stats_path)
-        prog_path = destination / "progression.csv"
-        with open(prog_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["schema_version", "iteration", "best_score"])
-            for it, score in progression:
-                writer.writerow([SCHEMA_VERSION, it, repr(score)])
-        paths.append(prog_path)
-        edges_path = destination / "lineage_edges.csv"
-        with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["schema_version", "child_id", "parent_ids", "operator", "iteration", "slot", "child_won"]
-            )
-            for e in edges:
-                writer.writerow(
-                    [
-                        SCHEMA_VERSION,
-                        e["child_id"],
-                        ";".join(e["parent_ids"]),
-                        e["operator"],
-                        e["iteration"],
-                        e["slot"],
-                        int(e["child_won"]),
-                    ]
-                )
-        paths.append(edges_path)
-        return paths
+                    [s.operator, s.tournaments, s.wins, repr(s.win_rate),
+                     "" if s.median_relative_gain is None else repr(s.median_relative_gain)]
+                    for s in stats
+                ],
+            ),
+            _write_table(
+                destination / "progression.csv",
+                ["iteration", "best_score"],
+                [[it, repr(score)] for it, score in progression],
+            ),
+            _write_table(
+                destination / "lineage_edges.csv",
+                ["child_id", "parent_ids", "operator", "iteration", "slot", "child_won"],
+                [
+                    [e["child_id"], ";".join(e["parent_ids"]), e["operator"], e["iteration"],
+                     e["slot"], int(e["child_won"])]
+                    for e in edges
+                ],
+            ),
+        ]
     raise ConfigurationError("format", f"unknown report format {fmt!r}")
+
+
+def _write_table(path: Path, header: list[str], rows: list[list]) -> Path:
+    """One CSV table; schema_version leads the header and every row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["schema_version", *header])
+        for row in rows:
+            writer.writerow([SCHEMA_VERSION, *row])
+    return path

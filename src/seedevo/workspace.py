@@ -7,11 +7,18 @@ what later generations inherit.  All state lives under one output
 root:
 
     output_root/
-        run_config.json     effective config for audit and resume
+        run_config.json     effective config; the one record of run settings
         events.jsonl        append-only event log
-        checkpoint.json     atomic per-iteration snapshot
+        checkpoint.json     atomic per-iteration snapshot of run state only
         archives/<id>/      manifest.json, experiments/, solution/, logs/
         workspaces/iter_NNNN/slot_NN/
+
+The checkpoint (version 2) holds the last finished iteration, the
+stopped flag, the event log offset, the pool entries, the allocator
+log-weights and the stopping tracker's best-so-far and stagnation
+count.  Everything derivable from run_config.json is rebuilt from it
+on resume; a version-1 checkpoint also carried those copies and loads
+the same way, its extra keys ignored.
 
 Archive ids are it{iteration:04d}_slot{slot:02d}.  Each archive's
 manifest is the only record of it, and paths are derived from the
@@ -24,7 +31,7 @@ import json
 import os
 import re
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -34,13 +41,16 @@ from .errors import ArchiveError, CorruptStateError, MaterializationError
 if TYPE_CHECKING:
     from .executors import RunOutcome
 
+#: Version of archive and seed manifests.
 SCHEMA_VERSION = 1
 
-#: Directory names never copied into a curated parent, regardless of
-#: caller-supplied rules.  Keeps inherited archives from nesting their
-#: own inherited archives.
-MANDATORY_EXCLUDED_DIRS = ("Previous Experiments",)
+#: Version of checkpoint.json this code writes.  Version 1 also repeated
+#: run settings that version 2 drops; load_checkpoint reads both.
+CHECKPOINT_VERSION = 2
 
+#: Where a workspace receives its parents.  A directory of this name is
+#: never copied into a curated parent, so inherited archives do not nest
+#: their own inherited archives.
 PARENT_DIR_NAME = "Previous Experiments"
 
 
@@ -55,17 +65,6 @@ class ArchiveRef:
     iteration: int
     slot: int
     parent_ids: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "path": str(self.path),
-            "score": self.score,
-            "operator": self.operator,
-            "iteration": self.iteration,
-            "slot": self.slot,
-            "parent_ids": list(self.parent_ids),
-        }
 
     @classmethod
     def from_manifest(cls, path: Path, manifest: dict) -> "ArchiveRef":
@@ -82,14 +81,10 @@ class ArchiveRef:
 
 @dataclass(frozen=True)
 class CurationRules:
-    """What a curated parent copy leaves out."""
+    """What a curated parent copy leaves out, besides PARENT_DIR_NAME."""
 
-    excluded_dir_names: tuple[str, ...] = ()
     excluded_globs: tuple[str, ...] = ()
     max_file_bytes: int = 64 * 1024 * 1024
-
-    def all_excluded_dirs(self) -> frozenset[str]:
-        return frozenset(self.excluded_dir_names) | frozenset(MANDATORY_EXCLUDED_DIRS)
 
 
 @dataclass(frozen=True)
@@ -104,7 +99,7 @@ class CopyPlan:
 def curate_parent_archive(source: Path, rules: CurationRules) -> CopyPlan:
     """Plan a curated copy of one archive.
 
-    Walks the source tree, dropping excluded directory names at any
+    Walks the source tree, dropping PARENT_DIR_NAME directories at any
     depth, glob-matched relative paths, and files over the byte cap.
     Pure: nothing is copied here.  Entries come back sorted so copies
     are reproducible.
@@ -112,7 +107,6 @@ def curate_parent_archive(source: Path, rules: CurationRules) -> CopyPlan:
     source = Path(source)
     if not source.is_dir():
         raise ArchiveError(f"parent archive not found: {source}")
-    excluded_dirs = rules.all_excluded_dirs()
     entries: list[str] = []
     warnings: list[str] = []
 
@@ -127,7 +121,7 @@ def curate_parent_archive(source: Path, rules: CurationRules) -> CopyPlan:
             child_rel = rel / name
             child = source / child_rel
             if child.is_dir() and not child.is_symlink():
-                if name in excluded_dirs:
+                if name == PARENT_DIR_NAME:
                     continue
                 walk(child_rel)
                 continue
@@ -214,7 +208,8 @@ def archive_run(
     outcome: "RunOutcome",
     archive_dir: Path,
     archive_id: str,
-    seed_info: dict,
+    operator: str,
+    parent_ids: list[str],
     iteration: int,
     slot: int,
 ) -> ArchiveRef:
@@ -260,8 +255,8 @@ def archive_run(
         "iteration": iteration,
         "slot": slot,
         "score": outcome.score,
-        "operator": seed_info.get("operator"),
-        "parent_ids": [p["id"] for p in seed_info.get("parents", [])],
+        "operator": operator,
+        "parent_ids": list(parent_ids),
         "experiments": [r.run_name for r in outcome.experiments],
         "diagnostics": dict(outcome.diagnostics),
     }
@@ -275,31 +270,21 @@ def archive_run(
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """Everything needed to continue a run after the last finished
-    iteration."""
+    """The run state after the last finished iteration: what a resume
+    lays over the state built from run_config.json."""
 
     iteration: int
     pool: dict
     hedge: dict
     stopping: dict
-    rng: dict
     event_log_offset: int
     stopped: bool = False
-    schema_version: int = SCHEMA_VERSION
+    schema_version: int = CHECKPOINT_VERSION
 
-    REQUIRED = ("iteration", "pool", "hedge", "stopping", "rng", "event_log_offset", "stopped")
+    REQUIRED = ("iteration", "pool", "hedge", "stopping", "event_log_offset", "stopped")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "iteration": self.iteration,
-            "pool": self.pool,
-            "hedge": self.hedge,
-            "stopping": self.stopping,
-            "rng": self.rng,
-            "event_log_offset": self.event_log_offset,
-            "stopped": self.stopped,
-        }
+        return asdict(self)
 
 
 def save_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
@@ -322,7 +307,7 @@ def load_checkpoint(path: Path) -> Checkpoint | None:
     for key in Checkpoint.REQUIRED:
         if key not in raw:
             raise CorruptStateError(f"checkpoint field missing: {key}")
-    if raw.get("schema_version") != SCHEMA_VERSION:
+    if raw.get("schema_version") not in (1, CHECKPOINT_VERSION):
         raise CorruptStateError(f"checkpoint schema_version: {raw.get('schema_version')!r}")
     if not isinstance(raw["iteration"], int) or raw["iteration"] < 0:
         raise CorruptStateError(f"checkpoint field iteration: {raw['iteration']!r}")
@@ -333,9 +318,9 @@ def load_checkpoint(path: Path) -> Checkpoint | None:
         pool=raw["pool"],
         hedge=raw["hedge"],
         stopping=raw["stopping"],
-        rng=raw["rng"],
         event_log_offset=raw["event_log_offset"],
         stopped=bool(raw["stopped"]),
+        schema_version=raw["schema_version"],
     )
 
 
@@ -418,7 +403,8 @@ class RunStore:
         self,
         workspace: Path,
         outcome: "RunOutcome",
-        seed_info: dict,
+        operator: str,
+        parent_ids: list[str],
         iteration: int,
         slot: int,
     ) -> ArchiveRef:
@@ -428,7 +414,8 @@ class RunStore:
             outcome=outcome,
             archive_dir=self.archives_dir / archive_id,
             archive_id=archive_id,
-            seed_info=seed_info,
+            operator=operator,
+            parent_ids=parent_ids,
             iteration=iteration,
             slot=slot,
         )

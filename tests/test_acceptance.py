@@ -59,7 +59,7 @@ from seedevo.hedge import (
     new_state,
     sampling_probabilities,
 )
-from seedevo.operators import OPERATOR_ORDER, Operator as Op
+from seedevo.operators import Operator as Op
 from seedevo.reporting import compute_operator_stats, pooled_win_rate
 
 HIGHER = MetricDirection(True)
@@ -92,7 +92,7 @@ def test_criterion_01_hedge_update_invariants(capfd):
         start = time.monotonic()
         for case in range(1000):
             k = rng.randint(2, 6)
-            ops = OPERATOR_ORDER[:k]
+            ops = list(Op)[:k]
             raw = [rng.uniform(0.05, 1.0) for _ in ops]
             z = sum(raw)
             base_probs = {op: r / z for op, r in zip(ops, raw)}
@@ -180,7 +180,7 @@ def test_criterion_02_rank_reward_oracle(capfd):
         rng = random.Random(55)
         for k in range(2, 7):
             for case in range(200):
-                ops = OPERATOR_ORDER[:k]
+                ops = list(Op)[:k]
                 if case % 4 == 0:  # force ties regularly
                     pool = [round(rng.uniform(-0.1, 0.1), 2) for _ in range(2)]
                     means = {op: rng.choice(pool) for op in ops}
@@ -344,7 +344,8 @@ def test_criterion_06_determinism_and_resume(capfd, tmp_path):
         for k in range(1, 10):
             name = f"split_{k}"
             first = fresh_engine(name)
-            first.run(stop_after_iteration=k)
+            for _ in range(k):
+                first.step()
             resumed = EvolutionEngine.resume(tmp_path / name)
             check(resumed.iteration == k, f"split {k}: resumed at {resumed.iteration}")
             resumed.run()

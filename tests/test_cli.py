@@ -83,6 +83,15 @@ def test_run_config_file_with_flag_override(tmp_path, capsys):
     assert printed["population_size"] == 4
 
 
+def test_run_malformed_sim_params_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert main(run_args(tmp_path / "x", "--sim-params", str(bad))) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("configuration error: sim_params:") for line in err.splitlines())
+    assert not (tmp_path / "x").exists()
+
+
 # -- resume ----------------------------------------------------------
 
 
@@ -109,6 +118,30 @@ def test_resume_corrupt_checkpoint_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["resume", "--output", str(out)]) == 3
     assert "corrupt state" in capsys.readouterr().err
+
+
+def test_resume_pool_size_mismatch_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(run_args(out, "--population", "2")) == 0
+    config = json.loads((out / "run_config.json").read_text())
+    config["population_size"] = 3
+    (out / "run_config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt state:")
+    assert "population_size is 3" in err
+
+
+def test_resume_invalid_run_config_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(run_args(out)) == 0
+    config = json.loads((out / "run_config.json").read_text())
+    config["workers"] = 0
+    (out / "run_config.json").write_text(json.dumps(config))
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("corrupt state: run_config.json: workers")
 
 
 def test_resume_missing_run_dir_exits_3(tmp_path):
@@ -195,6 +228,16 @@ def test_simulate_with_params_file(tmp_path, capsys):
     assert "pooled win rate" in capsys.readouterr().out
 
 
+def test_simulate_malformed_params_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    code = main(["simulate", "--tournaments", "20", "--params", str(bad),
+                 "--output", str(tmp_path / "s")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith("configuration error: params:") for line in err.splitlines())
+
+
 # -- compress --------------------------------------------------------
 
 
@@ -246,6 +289,25 @@ def test_compress_rejects_bad_transcript(tmp_path, capsys):
     code = main(["compress", str(transcript), "--rendered", str(tmp_path / "r.jsonl")])
     assert code == 1
     assert "transcript" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ({"role": "ai", "text": "x", "tool_call_args": "oops"}, "tool_call_args"),
+        ({"role": "ai", "text": "x", "tool_call_args": ["k", "v"]}, "tool_call_args"),
+        ({"role": "human", "text": 5}, "text"),
+        ({"role": "human", "text": None}, "text"),
+    ],
+)
+def test_compress_rejects_malformed_fields(tmp_path, capsys, row, field):
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(json.dumps({"role": "system", "text": "ok"}) + "\n" + json.dumps(row) + "\n")
+    code = main(["compress", str(transcript), "--rendered", str(tmp_path / "r.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: transcript:")
+    assert f"t.jsonl:2: {field} must be" in err
 
 
 def test_compress_rejects_bad_budget(tmp_path, capsys):

@@ -24,12 +24,12 @@ from seedevo.engine import (
     improvement,
     plan_iteration,
     resolve_tournament,
-    run_evolution,
     select_parents,
     update_stopping,
 )
 from seedevo.errors import ConfigurationError, EvaluationError
 from seedevo.events import read_events
+from seedevo.executors import SimModelParams, SimulatedExecutor
 from seedevo.hedge import HedgeConfig, new_state
 from seedevo.operators import Operator as Op
 from seedevo.rng import derive_rng
@@ -416,11 +416,14 @@ def test_pool_round_trip():
     pool = ElitePool(2, LOWER)
     pool.entries = full_pool([0.4, None])
     refs = {"a0": pool.entries[0].archive}
-    back = ElitePool.from_dict(pool.to_dict(), refs.__getitem__)
-    assert back.size == 2 and back.direction == LOWER
+    assert set(pool.to_dict()) == {"entries"}
+    back = ElitePool(2, LOWER)
+    back.restore(pool.to_dict(), refs.__getitem__)
     assert back.entries[0].score == 0.4
     assert back.entries[0].archive.id == "a0"
     assert back.entries[1].score is None and back.entries[1].archive is None
+    with pytest.raises(ValueError, match="population_size"):
+        ElitePool(3, LOWER).restore(pool.to_dict(), refs.__getitem__)
 
 
 # -- end-to-end runs -------------------------------------------------
@@ -431,7 +434,7 @@ def test_smallest_loop_two_iterations(tmp_path):
     qualifying tournament of delta +0.1."""
     config = single_slot_config(max_iterations=2, master_seed=9)
     executor = ScriptedExecutor({(1, 0): 0.5, (2, 0): 0.6})
-    best = run_evolution(config, executor, tmp_path / "run")
+    best = EvolutionEngine.start(config, executor, tmp_path / "run").run()
     assert best.score == 0.6
     assert best.origin_operator is Op.CONTINUE
 
@@ -528,7 +531,8 @@ def test_interrupt_resume_equivalence(tmp_path):
     uninterrupted = (tmp_path / "full" / "events.jsonl").read_bytes()
 
     split = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "split")
-    split.run(stop_after_iteration=2)
+    split.step()
+    split.step()
     # the interrupted root is moved before it is resumed
     moved = (tmp_path / "split").rename(tmp_path / "moved")
     resumed = EvolutionEngine.resume(moved, ScriptedExecutor(script))
@@ -574,7 +578,8 @@ def test_resume_ignores_legacy_archive_index(tmp_path):
     full.run()
 
     old = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "old")
-    old.run(stop_after_iteration=2)
+    old.step()
+    old.step()
     index = tmp_path / "old" / "archive_index.json"
     stale = {"id": "it0002_slot00", "path": "gone/archives/it0002_slot00", "score": 0.0,
              "operator": "continue", "iteration": 2, "slot": 0, "parent_ids": []}
@@ -588,11 +593,97 @@ def test_resume_ignores_legacy_archive_index(tmp_path):
     ).read_bytes()
 
 
+def sim_engine(config: RunConfig, root: Path) -> EvolutionEngine:
+    executor = SimulatedExecutor(SimModelParams(), master_seed=config.master_seed)
+    return EvolutionEngine.start(config, executor, root)
+
+
+def test_checkpoint_holds_run_state_only(tmp_path):
+    config = RunConfig(population_size=2, workers=1, master_seed=3, max_iterations=2)
+    sim_engine(config, tmp_path / "run").run()
+    raw = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+    assert raw["schema_version"] == 2
+    assert set(raw) == {
+        "schema_version", "iteration", "stopped", "event_log_offset", "pool", "hedge", "stopping",
+    }
+    assert set(raw["pool"]) == {"entries"}
+    assert set(raw["hedge"]) == {"log_weights"}
+    assert set(raw["stopping"]) == {"best_so_far", "stagnation_count"}
+
+
+def test_version_1_checkpoint_resumes_identically(tmp_path):
+    config = RunConfig(population_size=3, workers=2, master_seed=17, max_iterations=5, patience=50)
+    sim_engine(config, tmp_path / "full").run()
+
+    split = sim_engine(config, tmp_path / "v1")
+    split.step()
+    split.step()
+    path = tmp_path / "v1" / "checkpoint.json"
+    raw = json.loads(path.read_text())
+    assert raw["schema_version"] == 2
+    # put back the copies of run settings a version-1 checkpoint carried
+    hedge = config.hedge_config()
+    raw["schema_version"] = 1
+    raw["rng"] = {"master_seed": config.master_seed, "next_iteration": 3}
+    raw["hedge"]["config"] = {
+        "active_tasks": [op.value for op in hedge.active_tasks],
+        "base_probs": {op.value: p for op, p in hedge.base_probs.items()},
+        "floors": {op.value: p for op, p in hedge.floors.items()},
+        "ceilings": {op.value: p for op, p in hedge.ceilings.items()},
+        "learning_rate": hedge.learning_rate,
+        "clip_cap": hedge.clip_cap,
+        "max_bound_iterations": hedge.max_bound_iterations,
+    }
+    raw["stopping"].update(
+        threshold=config.improvement_threshold,
+        patience=config.patience,
+        max_iterations=config.max_iterations,
+    )
+    raw["pool"].update(size=config.population_size, direction={"higher_is_better": True})
+    path.write_text(json.dumps(raw))
+
+    resumed = EvolutionEngine.resume(tmp_path / "v1")
+    assert resumed.iteration == 2
+    resumed.run()
+    assert (tmp_path / "v1" / "events.jsonl").read_bytes() == (
+        tmp_path / "full" / "events.jsonl"
+    ).read_bytes()
+
+
+def test_jumpstart_and_eda_run_resumes_identically_after_move(tmp_path):
+    # listed out of declaration order: fresh and resumed runs must both
+    # sample in Operator order, whatever order the config lists and
+    # run_config.json (sorted keys) holds
+    config = RunConfig(
+        population_size=3, workers=2, master_seed=29, max_iterations=6, patience=50,
+        base_probs={Op.EDA: 0.4, Op.JUMPSTART: 0.1, Op.MERGE: 0.1, Op.CONTINUE: 0.3,
+                    Op.INITIAL: 0.1},
+    )
+    sampling_order = (Op.INITIAL, Op.CONTINUE, Op.MERGE, Op.JUMPSTART, Op.EDA)
+    full = sim_engine(config, tmp_path / "full")
+    assert full.hedge_state.config.active_tasks == sampling_order
+    full.run()
+
+    split = sim_engine(config, tmp_path / "split")
+    split.step()
+    split.step()
+    moved = (tmp_path / "split").rename(tmp_path / "moved")
+    resumed = EvolutionEngine.resume(moved)
+    assert resumed.iteration == 2
+    assert resumed.hedge_state.config.active_tasks == sampling_order
+    resumed.run()
+    log = (moved / "events.jsonl").read_bytes()
+    assert log == (tmp_path / "full" / "events.jsonl").read_bytes()
+    events, _ = read_events(moved / "events.jsonl")
+    replayed = {e["operator"] for e in events if e["type"] == "tournament" and e["iteration"] > 2}
+    assert {"jumpstart", "eda"} <= replayed
+
+
 def test_resume_prunes_replayed_artifacts(tmp_path):
     config = single_slot_config(max_iterations=3, master_seed=5)
     script = {(1, 0): 0.5, (2, 0): 0.6, (3, 0): 0.7}
     engine = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "run")
-    engine.run(stop_after_iteration=3)
+    engine.run()
 
     # roll the checkpoint back to iteration 1 by hand, as if the later
     # iterations had not finished cleanly
@@ -600,7 +691,7 @@ def test_resume_prunes_replayed_artifacts(tmp_path):
 
     ckpt_path = tmp_path / "run" / "checkpoint.json"
     engine2 = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "ref")
-    engine2.run(stop_after_iteration=1)
+    engine2.step()
     ckpt_path.write_text((tmp_path / "ref" / "checkpoint.json").read_text())
     raw = json.loads(ckpt_path.read_text())
     assert raw["iteration"] == 1

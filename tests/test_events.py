@@ -9,7 +9,8 @@ import pytest
 
 from seedevo.errors import CorruptStateError
 from seedevo.events import EventLog, encode_event, read_events
-from seedevo.operators import OPERATOR_ORDER, PARENT_CONDITIONED, Operator, parent_count
+from seedevo.config import DEFAULT_BASE_PROBS
+from seedevo.operators import Operator
 from seedevo.rng import derive_rng, derive_seed
 
 
@@ -113,23 +114,7 @@ def test_operator_string_form():
 
 
 def test_operator_order_covers_all():
-    assert set(OPERATOR_ORDER) == set(Operator)
-    assert len(OPERATOR_ORDER) == 6
-
-
-def test_parent_conditioned_set():
-    assert Operator.INITIAL not in PARENT_CONDITIONED
-    assert PARENT_CONDITIONED == {
-        Operator.CONTINUE, Operator.ABLATION, Operator.MERGE,
-        Operator.EDA, Operator.JUMPSTART,
-    }
-
-
-def test_parent_count_arity():
-    assert parent_count(Operator.INITIAL) == 0
-    assert parent_count(Operator.MERGE) == 2
-    assert parent_count(Operator.CONTINUE) == 1
-    assert parent_count(Operator.CONTINUE, continue_max_parents=3) == 3
-    assert parent_count(Operator.ABLATION) == 1
-    assert parent_count(Operator.EDA) == 1
-    assert parent_count(Operator.JUMPSTART) == 1
+    # declaration order is the sampling order, and the order in which
+    # load_config lays out every probability map
+    assert list(Operator) == list(DEFAULT_BASE_PROBS)
+    assert len(Operator) == 6

@@ -345,15 +345,12 @@ def test_external_exports_environment(tmp_path):
     script = (
         "import os, pathlib; pathlib.Path('env.txt').write_text("
         "os.environ['SEEDEVO_SEED_MANIFEST'] + '\\n' + "
-        "os.environ['SEEDEVO_WORKSPACE'] + '\\n' + "
-        "os.environ.get('EXTRA_FLAG', ''))"
+        "os.environ['SEEDEVO_WORKSPACE'])"
     )
-    executor = ExternalCommandExecutor(
-        [sys.executable, "-c", script], HIGHER, extra_env={"EXTRA_FLAG": "on"}
-    )
+    executor = ExternalCommandExecutor([sys.executable, "-c", script], HIGHER)
     executor.execute(sim_seed(), ws)
     lines = (ws / "env.txt").read_text().splitlines()
-    assert lines == [str(ws / "seed_manifest.json"), str(ws), "on"]
+    assert lines == [str(ws / "seed_manifest.json"), str(ws)]
 
 
 def test_external_empty_command_rejected():

@@ -3,6 +3,7 @@ checks against the independent oracles."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -370,9 +371,12 @@ def test_state_round_trips_through_dict():
         new_state(config),
         [ObservedGain(Op.CONTINUE, 0.02), ObservedGain(Op.EDA, -0.01)],
     )
-    back = HedgeState.from_dict(state.to_dict())
+    assert set(state.to_dict()) == {"log_weights"}
+    back = HedgeState.from_dict(json.loads(json.dumps(state.to_dict())), config)
     assert back.log_weights == state.log_weights
     assert back.config == state.config
+    with pytest.raises(ValueError, match="active operators"):
+        HedgeState.from_dict({"log_weights": {"continue": 0.0}}, config)
     # the restored state behaves identically
     more = [ObservedGain(Op.MERGE, 0.01), ObservedGain(Op.ABLATION, -0.02)]
     assert apply_update(back, more).log_weights == apply_update(state, more).log_weights

@@ -1,0 +1,117 @@
+"""The package's intra-package import graph must stay acyclic.
+
+Every src/seedevo/*.py is parsed with ast; imports at module level and
+inside functions both count, imports under `if TYPE_CHECKING:` do not
+(they never run).
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = "seedevo"
+SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    if isinstance(test, ast.Name):
+        return test.id == "TYPE_CHECKING"
+    return isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+
+
+class _ImportCollector(ast.NodeVisitor):
+    """Names of sibling modules one module imports."""
+
+    def __init__(self, modules: set[str]):
+        self.modules = modules
+        self.found: set[str] = set()
+
+    def _add(self, dotted: str) -> None:
+        head = dotted.split(".")[0]
+        if head in self.modules:
+            self.found.add(head)
+
+    def visit_If(self, node: ast.If) -> None:
+        if _is_type_checking(node.test):
+            for stmt in node.orelse:
+                self.visit(stmt)
+        else:
+            self.generic_visit(node)
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name.startswith(PACKAGE + "."):
+                self._add(alias.name[len(PACKAGE) + 1 :])
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.level == 1:
+            base = node.module
+        elif node.level == 0 and node.module and node.module.split(".")[0] == PACKAGE:
+            base = node.module[len(PACKAGE) + 1 :] or None
+        else:
+            return
+        if base:
+            self._add(base)
+        else:  # from . import a, b
+            for alias in node.names:
+                self._add(alias.name)
+
+
+def import_graph(sources: dict[str, str]) -> dict[str, set[str]]:
+    modules = set(sources)
+    graph = {}
+    for name, text in sources.items():
+        collector = _ImportCollector(modules)
+        collector.visit(ast.parse(text))
+        graph[name] = collector.found - {name}
+    return graph
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle as a path that starts and ends on the same module."""
+    done: set[str] = set()
+
+    def visit(node: str, stack: list[str]) -> list[str] | None:
+        stack.append(node)
+        for nxt in sorted(graph[node]):
+            if nxt in stack:
+                return stack[stack.index(nxt):] + [nxt]
+            if nxt not in done:
+                found = visit(nxt, stack)
+                if found:
+                    return found
+        stack.pop()
+        done.add(node)
+        return None
+
+    for start in sorted(graph):
+        if start not in done:
+            found = visit(start, [])
+            if found:
+                return found
+    return None
+
+
+def package_sources() -> dict[str, str]:
+    return {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+
+
+def test_package_import_graph_is_acyclic():
+    graph = import_graph(package_sources())
+    assert graph["cli"] >= {"engine", "config"}  # the collector sees real edges
+    cycle = find_cycle(graph)
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def test_collector_counts_function_imports_and_skips_type_checking():
+    sources = {
+        "a": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .b import X\n",
+        "b": "def f():\n    from .a import Y\n",
+        "c": "from . import a, b\nimport seedevo.a\n",
+    }
+    graph = import_graph(sources)
+    assert graph == {"a": set(), "b": {"a"}, "c": {"a", "b"}}
+    assert find_cycle(graph) is None
+    sources["a"] = "import seedevo.b\n"
+    assert find_cycle(import_graph(sources)) == ["a", "b", "a"]

@@ -20,7 +20,6 @@ from seedevo.reporting import (
     export_report,
     lineage_edges,
     pooled_win_rate,
-    scan_gain_diagnostics,
 )
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "golden_report.json"
@@ -113,10 +112,6 @@ def test_stats_zero_parent_excluded_with_diagnostic():
     [stats] = compute_operator_stats(events)
     assert stats.tournaments == 2
     assert stats.median_relative_gain == pytest.approx(1.0)
-    diags = scan_gain_diagnostics(events)
-    assert len(diags) == 1
-    assert "iteration 2 slot 0" in diags[0]
-    assert scan_gain_diagnostics([tournament(2, 0, "eda", 0.5, 0.6, True, delta=0.1)]) == []
 
 
 def test_stats_sorted_by_operator_name():

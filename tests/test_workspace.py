@@ -89,15 +89,6 @@ def test_curation_drops_inherited_parents_at_any_depth(tmp_path):
     assert plan.entries == ("nested/keep.txt", "top.txt")
 
 
-def test_curation_excluded_dir_names_are_additive(tmp_path):
-    src = build_tree(tmp_path / "src", {
-        "keep.txt": "k", "cache/blob": "b", "Previous Experiments/x": "x",
-    })
-    rules = CurationRules(excluded_dir_names=("cache",))
-    plan = curate_parent_archive(src, rules)
-    assert plan.entries == ("keep.txt",)
-
-
 def test_curation_enforces_byte_cap(tmp_path):
     src = tmp_path / "src"
     build_tree(src, {"small.bin": "x" * 10})
@@ -225,7 +216,8 @@ def archive_args(tmp_path, outcome, archive_id="it0001_slot00"):
         outcome=outcome,
         archive_dir=tmp_path / "archives" / archive_id,
         archive_id=archive_id,
-        seed_info={"operator": "continue", "parents": [{"id": "p0"}]},
+        operator="continue",
+        parent_ids=["p0"],
         iteration=1,
         slot=0,
     )
@@ -306,7 +298,6 @@ def sample_checkpoint(iteration: int = 2) -> Checkpoint:
         pool={"size": 1, "entries": []},
         hedge={"log_weights": {}},
         stopping={"best_so_far": 0.5},
-        rng={"master_seed": 7},
         event_log_offset=512,
         stopped=False,
     )
@@ -401,7 +392,7 @@ def test_store_path_formats(tmp_path):
 def test_store_archive_and_resolve_round_trip(tmp_path):
     store = RunStore.create(tmp_path / "run")
     ws = build_tree(tmp_path / "ws", {"solution/a.py": "a"})
-    ref = store.archive_run(ws, verified_outcome(0.7), {"operator": "initial", "parents": []}, 1, 0)
+    ref = store.archive_run(ws, verified_outcome(0.7), "initial", [], 1, 0)
     assert ref.id == "it0001_slot00"
     resolved = store.resolve_archive("it0001_slot00")
     assert resolved == ref
@@ -414,7 +405,7 @@ def test_store_resolve_detects_deleted_archive(tmp_path):
 
     store = RunStore.create(tmp_path / "run")
     ws = build_tree(tmp_path / "ws", {"x": "x"})
-    ref = store.archive_run(ws, verified_outcome(), {"operator": "initial", "parents": []}, 1, 0)
+    ref = store.archive_run(ws, verified_outcome(), "initial", [], 1, 0)
     shutil.rmtree(ref.path)
     with pytest.raises(CorruptStateError):
         store.resolve_archive(ref.id)
@@ -424,7 +415,7 @@ def test_store_prune_removes_later_iterations_only(tmp_path):
     store = RunStore.create(tmp_path / "run")
     for iteration in (1, 2, 3):
         ws = build_tree(tmp_path / f"ws{iteration}", {"x": "x"})
-        store.archive_run(ws, verified_outcome(), {"operator": "initial", "parents": []}, iteration, 0)
+        store.archive_run(ws, verified_outcome(), "initial", [], iteration, 0)
         store.workspace_path(iteration, 0).mkdir(parents=True)
     store.prune_after_iteration(1)
     assert store.resolve_archive("it0001_slot00")
@@ -440,7 +431,7 @@ def test_store_prune_removes_later_iterations_only(tmp_path):
 def test_store_prune_leaves_unparsable_entries(tmp_path):
     store = RunStore.create(tmp_path / "run")
     ws = build_tree(tmp_path / "ws", {"x": "x"})
-    store.archive_run(ws, verified_outcome(), {"operator": "initial", "parents": []}, 2, 0)
+    store.archive_run(ws, verified_outcome(), "initial", [], 2, 0)
     strays = [store.workspaces_dir / "iter_notes", store.archives_dir / "notes"]
     for stray in strays:
         build_tree(stray, {"keep.txt": "keep"})
@@ -453,7 +444,7 @@ def test_store_prune_leaves_unparsable_entries(tmp_path):
 def test_store_resolve_reads_manifest_not_stored_path(tmp_path):
     store = RunStore.create(tmp_path / "run")
     ws = build_tree(tmp_path / "ws", {"x": "x"})
-    store.archive_run(ws, verified_outcome(0.7), {"operator": "initial", "parents": []}, 1, 0)
+    store.archive_run(ws, verified_outcome(0.7), "initial", [], 1, 0)
     moved = RunStore((tmp_path / "run").rename(tmp_path / "moved"))
     assert moved.resolve_archive("it0001_slot00").path == moved.archives_dir / "it0001_slot00"
     (moved.archives_dir / "it0001_slot00" / "manifest.json").write_text("{mangled")
