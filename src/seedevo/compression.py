@@ -15,6 +15,7 @@ str -> int (for example a real BPE tokenizer) can be swapped in.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ def count_tokens(text: str) -> int:
 
 def truncate_text(text: str, head_tokens: int = TRUNCATE_HEAD_TOKENS) -> str:
     """Keep the first head_tokens tokens and mark the elision."""
-    spans = list(_TOKEN_RE.finditer(text))
+    spans = list(itertools.islice(_TOKEN_RE.finditer(text), max(head_tokens, 0) + 1))
     if len(spans) <= head_tokens:
         return text
     cut = spans[head_tokens - 1].end() if head_tokens > 0 else 0
@@ -143,6 +144,7 @@ class MessageHistory:
     def __init__(self, counter: TokenCounter = count_tokens):
         self.counter = counter
         self.messages: list[Message] = []
+        self._positions: dict[int, int] = {}
         self.cache: dict[int, CompressedForm] = {}
         self.diagnostics: list[str] = []
 
@@ -154,17 +156,15 @@ class MessageHistory:
         id: int | None = None,
     ) -> Message:
         msg_id = id if id is not None else len(self.messages)
-        if any(m.id == msg_id for m in self.messages):
+        if msg_id in self._positions:
             raise ValueError(f"duplicate message id {msg_id!r}")
         msg = Message.create(msg_id, role, text, tool_call_args, self.counter)
+        self._positions[msg_id] = len(self.messages)
         self.messages.append(msg)
         return msg
 
     def get(self, msg_id: int) -> Message:
-        for m in self.messages:
-            if m.id == msg_id:
-                return m
-        raise KeyError(msg_id)
+        return self.messages[self._positions[msg_id]]
 
     def pending_ids(self) -> list[int]:
         return [m.id for m in self.messages if m.id not in self.cache]
@@ -236,20 +236,24 @@ def _compress_one(
 ) -> CompressedForm:
     if msg.token_count < budget.min_compress_tokens:
         return CompressedForm(msg.text, msg.tool_call_args, msg.token_count)
-    text = msg.text
-    candidate = summarizer(msg.text)
-    if counter(candidate) < counter(text):
-        text = candidate
+
+    def shorter(text: str, tokens: int) -> tuple[str, int]:
+        candidate = summarizer(text)
+        candidate_tokens = counter(candidate)
+        return (candidate, candidate_tokens) if candidate_tokens < tokens else (text, tokens)
+
+    # without args a message's token_count is its text's count
+    text, total = shorter(msg.text, counter(msg.text) if msg.tool_call_args else msg.token_count)
     args = None
     if msg.tool_call_args is not None:
         args = {}
         for key, value in msg.tool_call_args.items():
-            if counter(value) >= budget.min_compress_tokens:
-                shorter = summarizer(value)
-                args[key] = shorter if counter(shorter) < counter(value) else value
-            else:
-                args[key] = value
-    return CompressedForm(text, args, _payload_tokens(text, args, counter))
+            value_tokens = counter(value)
+            if value_tokens >= budget.min_compress_tokens:
+                value, value_tokens = shorter(value, value_tokens)
+            args[key] = value
+            total += counter(key) + value_tokens
+    return CompressedForm(text, args, total)
 
 
 # -- stage two: selection --------------------------------------------
@@ -277,19 +281,6 @@ def message_status_tokens(
     return history.counter(truncate_text(msg.text, budget.truncate_head_tokens))
 
 
-def group_status_tokens(
-    history: MessageHistory, group: MessageGroup, status: SelectionStatus, budget: BudgetConfig
-) -> int:
-    return sum(
-        message_status_tokens(history, history.get(mid), status, budget)
-        for mid in group.member_ids
-    )
-
-
-def _group_pending(history: MessageHistory, group: MessageGroup) -> bool:
-    return any(mid not in history.cache for mid in group.member_ids)
-
-
 def select_statuses(
     history: MessageHistory, groups: list[MessageGroup], budget: BudgetConfig
 ) -> SelectionResult:
@@ -300,13 +291,15 @@ def select_statuses(
     oldest surviving group is pinned non-drop (it may still compress or
     truncate).  The rest degrade oldest-first in stage passes
     (compressed, then truncate, then drop), one group at a time,
-    re-checking the budget after each move.  A stage move is applied
-    only when it strictly shrinks that group's render: truncating a
-    group of short messages saves nothing, so the walk skips it and
-    reaches the drop stage instead.  Groups still holding pending
-    messages skip the compressed stage, since their cache does not
-    exist yet.  If even maximal degradation stays over target, the
-    result is flagged over budget.
+    re-checking the budget after each move; each group's cost under a
+    status is computed once and a running total follows the moves, so
+    the walk is linear in the window.  A stage move is applied only
+    when it strictly shrinks that group's render: truncating a group of
+    short messages saves nothing, so the walk skips it and reaches the
+    drop stage instead.  Groups still holding pending messages skip the
+    compressed stage, since their cache does not exist yet.  If even
+    maximal degradation stays over target, the result is flagged over
+    budget.
     """
     n = len(groups)
     statuses = [SelectionStatus.ORIGINAL] * n
@@ -322,28 +315,34 @@ def select_statuses(
     degradable = [i for i in survivors if i not in protected]
 
     def tokens(i: int, status: SelectionStatus) -> int:
-        return group_status_tokens(history, groups[i], status, budget)
+        return sum(
+            message_status_tokens(history, history.get(mid), status, budget)
+            for mid in groups[i].member_ids
+        )
 
-    def total() -> int:
-        return sum(tokens(i, statuses[i]) for i in survivors)
-
-    if total() <= budget.target_tokens:
-        return SelectionResult(tuple(statuses), total(), False)
+    cost = {i: tokens(i, SelectionStatus.ORIGINAL) for i in survivors}
+    total = sum(cost.values())
+    if total <= budget.target_tokens:
+        return SelectionResult(tuple(statuses), total, False)
 
     for stage in (SelectionStatus.COMPRESSED, SelectionStatus.TRUNCATE, SelectionStatus.DROP):
         for i in degradable:
-            if stage is SelectionStatus.COMPRESSED and _group_pending(history, groups[i]):
+            if stage is SelectionStatus.COMPRESSED and any(
+                mid not in history.cache for mid in groups[i].member_ids
+            ):
                 continue
             if stage is SelectionStatus.DROP and i == first_kept:
                 continue
-            if tokens(i, stage) >= tokens(i, statuses[i]):
+            stage_cost = tokens(i, stage)
+            if stage_cost >= cost[i]:
                 continue
             statuses[i] = stage
-            if total() <= budget.target_tokens:
-                return SelectionResult(tuple(statuses), total(), False)
+            total += stage_cost - cost[i]
+            cost[i] = stage_cost
+            if total <= budget.target_tokens:
+                return SelectionResult(tuple(statuses), total, False)
 
-    final = total()
-    return SelectionResult(tuple(statuses), final, final > budget.target_tokens)
+    return SelectionResult(tuple(statuses), total, total > budget.target_tokens)
 
 
 @dataclass(frozen=True)
@@ -373,25 +372,12 @@ def reconstruct_context(
             continue
         for mid in group.member_ids:
             msg = history.get(mid)
-            if status is SelectionStatus.ORIGINAL:
-                rendered.append(
-                    RenderedMessage(msg.id, msg.role, msg.text, msg.tool_call_args, status)
-                )
-            elif status is SelectionStatus.COMPRESSED:
-                form = history.cache.get(mid)
-                text = form.text if form is not None else msg.text
-                args = form.tool_call_args if form is not None else msg.tool_call_args
-                rendered.append(RenderedMessage(msg.id, msg.role, text, args, status))
-            else:
-                rendered.append(
-                    RenderedMessage(
-                        msg.id,
-                        msg.role,
-                        truncate_text(msg.text, budget.truncate_head_tokens),
-                        None,
-                        status,
-                    )
-                )
+            text, args = msg.text, msg.tool_call_args
+            if status is SelectionStatus.COMPRESSED and mid in history.cache:
+                text, args = history.cache[mid].text, history.cache[mid].tool_call_args
+            elif status is SelectionStatus.TRUNCATE:
+                text, args = truncate_text(msg.text, budget.truncate_head_tokens), None
+            rendered.append(RenderedMessage(msg.id, msg.role, text, args, status))
     return rendered
 
 

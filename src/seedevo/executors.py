@@ -140,20 +140,34 @@ class SimModelParams:
         if unknown:
             raise ConfigurationError(sorted(unknown)[0], "unknown simulator parameter")
 
+        def number(key: str, value) -> float:
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                raise ConfigurationError(key, f"must be a number, got {value!r}") from None
+
         def op_map(key: str, base: dict) -> dict:
+            entries = raw.get(key, {})
+            if not isinstance(entries, dict):
+                raise ConfigurationError(key, "must map operator names to numbers")
+            operators = {op.value: op for op in Operator}
             merged = dict(base)
-            for name, value in raw.get(key, {}).items():
-                merged[Operator(name)] = float(value)
+            for name, value in entries.items():
+                if name not in operators:
+                    raise ConfigurationError(f"{key}.{name}", "unknown operator")
+                merged[operators[name]] = number(f"{key}.{name}", value)
             return merged
 
         return cls(
             direction=MetricDirection(bool(raw.get("higher_is_better", True))),
-            base_mean=float(raw.get("base_mean", defaults.base_mean)),
-            base_sd=float(raw.get("base_sd", defaults.base_sd)),
+            base_mean=number("base_mean", raw.get("base_mean", defaults.base_mean)),
+            base_sd=number("base_sd", raw.get("base_sd", defaults.base_sd)),
             gain_mean=op_map("gain_mean", defaults.gain_mean),
             gain_sd=op_map("gain_sd", defaults.gain_sd),
             failure_prob=op_map("failure_prob", defaults.failure_prob),
-            experiment_spread=float(raw.get("experiment_spread", defaults.experiment_spread)),
+            experiment_spread=number(
+                "experiment_spread", raw.get("experiment_spread", defaults.experiment_spread)
+            ),
             metric=str(raw.get("metric", defaults.metric)),
         )
 

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+from hypothesis import settings
+
 from seedevo.config import RunConfig
 from seedevo.executors import ExperimentRecord, RunOutcome
 from seedevo.operators import Operator
+
+# Property tests draw the same examples on every machine: derandomize
+# seeds the draws from each test itself (and turns off the local example
+# database), and with no deadline a slow host cannot fail an example on
+# time alone.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 class ScriptedExecutor:

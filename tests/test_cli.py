@@ -92,6 +92,26 @@ def test_run_malformed_sim_params_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+#: Well-formed JSON that SimModelParams.from_dict must reject, with the
+#: field its error names.
+BAD_SIM_PARAMS = [
+    ({"base_mean": "abc"}, "base_mean"),
+    ({"gain_mean": {"bogus": 0.1}}, "gain_mean.bogus"),
+    ({"gain_sd": {"merge": None}}, "gain_sd.merge"),
+    ({"failure_prob": 0.1}, "failure_prob"),
+]
+
+
+@pytest.mark.parametrize("params,field", BAD_SIM_PARAMS)
+def test_run_bad_sim_param_values_exit_1(tmp_path, capsys, params, field):
+    bad = tmp_path / "p.json"
+    bad.write_text(json.dumps(params))
+    assert main(run_args(tmp_path / "o", "--sim-params", str(bad))) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith(f"configuration error: {field}:") for line in err.splitlines())
+    assert not (tmp_path / "o").exists()
+
+
 # -- resume ----------------------------------------------------------
 
 
@@ -236,6 +256,17 @@ def test_simulate_malformed_params_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert any(line.startswith("configuration error: params:") for line in err.splitlines())
+
+
+@pytest.mark.parametrize("params,field", BAD_SIM_PARAMS)
+def test_simulate_bad_param_values_exit_1(tmp_path, capsys, params, field):
+    bad = tmp_path / "p.json"
+    bad.write_text(json.dumps(params))
+    code = main(["simulate", "--tournaments", "5", "--params", str(bad),
+                 "--output", str(tmp_path / "s")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith(f"configuration error: {field}:") for line in err.splitlines())
 
 
 # -- compress --------------------------------------------------------

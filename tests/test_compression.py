@@ -7,6 +7,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import word_head_summarizer
 from oracles import selection_walk_oracle
@@ -378,30 +380,127 @@ def test_selection_matches_oracle_on_random_histories():
         )
         compress_pending(history, moody, budget)
         groups = group_messages(history)
-
-        table, pending = [], []
-        for group in groups:
-            row = {"original": 0, "compressed": 0, "truncate": 0}
-            is_pending = False
-            for mid in group.member_ids:
-                msg = history.get(mid)
-                row["original"] += msg.token_count
-                form = history.cache.get(mid)
-                row["compressed"] += form.token_count if form else msg.token_count
-                row["truncate"] += count_tokens(truncate_text(msg.text))
-                if msg.id not in history.cache:
-                    is_pending = True
-            table.append(row)
-            pending.append(is_pending)
-
-        want_statuses, want_total, want_flag = selection_walk_oracle(
-            table, pending, budget.target_tokens, budget.window_groups,
-            budget.recent_groups_protected,
-        )
+        want_statuses, want_total, want_flag = oracle_selection(history, groups, budget)
         result = select_statuses(history, groups, budget)
         assert [s.value for s in result.statuses] == want_statuses, f"case {case}"
         assert result.total_tokens == want_total
         assert result.over_budget == want_flag
+
+
+def oracle_selection(history, groups, budget) -> tuple[list[str], int, bool]:
+    """Run selection_walk_oracle on a group size table built here from
+    the messages, the cache and the history's counter."""
+    table, pending = [], []
+    for group in groups:
+        row = {"original": 0, "compressed": 0, "truncate": 0}
+        is_pending = False
+        for mid in group.member_ids:
+            msg = history.get(mid)
+            row["original"] += msg.token_count
+            form = history.cache.get(mid)
+            row["compressed"] += form.token_count if form else msg.token_count
+            head = truncate_text(msg.text, budget.truncate_head_tokens)
+            row["truncate"] += history.counter(head)
+            if msg.id not in history.cache:
+                is_pending = True
+        table.append(row)
+        pending.append(is_pending)
+    return selection_walk_oracle(
+        table, pending, budget.target_tokens, budget.window_groups,
+        budget.recent_groups_protected,
+    )
+
+
+@st.composite
+def compressed_transcripts(draw):
+    """A history after stage one, its groups, and a budget.
+
+    Draws cover orphan tool messages, summarizer failures that leave
+    groups pending, windows narrower than the transcript, an unpinned
+    tail (recent_groups_protected=0), character counting, and targets
+    from far below to above the transcript's size.
+    """
+    history = MessageHistory(draw(st.sampled_from([count_tokens, len])))
+    sizes = st.integers(1, 120)
+    n_groups = draw(st.integers(1, 30))
+    for g in range(n_groups):
+        kind = draw(st.sampled_from(["human", "ai", "system", "tool_call", "orphan_tool"]))
+        if kind == "tool_call":
+            history.add("ai", words(draw(sizes), f"g{g}a"), {"k": words(draw(sizes), f"g{g}v")})
+            for t in range(draw(st.integers(0, 2))):
+                history.add("tool", words(draw(sizes), f"g{g}t{t}"))
+        else:
+            role = "tool" if kind == "orphan_tool" else kind
+            history.add(role, words(draw(sizes), f"g{g}m"))
+    fail_every = draw(st.integers(2, 6))
+
+    def failing_summarizer(text):
+        kept = text.split()
+        if len(kept) % fail_every == 0:
+            raise RuntimeError("summarizer down")
+        return " ".join(kept[: max(1, len(kept) // 3)])
+
+    window = draw(st.integers(1, n_groups + 3))
+    size = sum(m.token_count for m in history.messages)
+    target = max(1, int(size * draw(st.floats(0.0, 1.2))))
+    budget = BudgetConfig(
+        trigger_tokens=max(100_000, target + 1),
+        target_tokens=target,
+        window_groups=window,
+        recent_groups_protected=draw(st.integers(0, min(window, 4))),
+        min_compress_tokens=draw(st.sampled_from([1, 20, 50])),
+        truncate_head_tokens=draw(st.sampled_from([0, 8, 64])),
+    )
+    compress_pending(history, failing_summarizer, budget)
+    return history, group_messages(history), budget
+
+
+@settings(max_examples=200)
+@given(case=compressed_transcripts())
+def test_selection_matches_oracle_on_generated_transcripts(case):
+    history, groups, budget = case
+    want_statuses, want_total, want_flag = oracle_selection(history, groups, budget)
+    result = select_statuses(history, groups, budget)
+    assert [s.value for s in result.statuses] == want_statuses
+    assert result.total_tokens == want_total
+    assert result.over_budget == want_flag
+    rendered = reconstruct_context(history, groups, result.statuses, budget)
+    assert rendered_token_total(history, rendered) == result.total_tokens
+
+
+class CountingCounter:
+    """The default counter, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, text: str) -> int:
+        self.calls += 1
+        return count_tokens(text)
+
+
+def test_counter_calls_stay_linear_however_many_moves(tmp_path):
+    n = 60
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("".join(
+        json.dumps({"role": "human", "text": words(200, f"g{i}_")}) + "\n" for i in range(n)
+    ))
+    # nothing pinned and a target below the first group's floor: every
+    # group compresses (200 -> 80) and truncates (-> 67), all but the
+    # first then drop, and the walk never stops early
+    budget = small_budget(target_tokens=1, window_groups=n, recent_groups_protected=0)
+    counter = CountingCounter()
+    history = load_transcript(path, counter)
+    compress_pending(history, word_head_summarizer(0.4), budget)
+    # one count when loaded, one for the summary
+    assert counter.calls <= 2 * n
+    groups = group_messages(history)
+    counter.calls = 0
+    result = select_statuses(history, groups, budget)
+    assert result.statuses[0] is SelectionStatus.TRUNCATE
+    assert set(result.statuses[1:]) == {SelectionStatus.DROP}
+    assert result.over_budget
+    assert counter.calls <= 4 * n
 
 
 def test_selection_degradation_is_monotone_in_pressure():
