@@ -13,11 +13,11 @@ import tempfile
 from pathlib import Path
 
 from . import compression, reporting
-from .config import RunConfig, load_config, read_json_object
+from .config import load_config, read_json_object
 from .engine import EvolutionEngine
 from .errors import ConfigurationError, CorruptStateError, SeedevoError
 from .events import read_events
-from .executors import SimModelParams, SimulatedExecutor, build_executor
+from .executors import SimModelParams, build_executor
 from .workspace import RunStore
 
 EXIT_OK = 0
@@ -147,7 +147,7 @@ def _run_to_end(engine: EvolutionEngine, output_root: Path) -> int:
     """Finish the run, write its JSON report and print the result."""
     best = engine.run()
     _write_report(output_root, "json", output_root / "report")
-    if best is not None and best.valid:
+    if best is not None:
         print(f"stopped after iteration {engine.iteration}; best score {best.score!r} "
               f"(slot {best.slot}, {best.origin_operator})")
     else:
@@ -183,15 +183,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         run_index = 0
         qualifying = 0
         while qualifying < args.tournaments:
-            config = RunConfig(
-                master_seed=args.seed + run_index,
-                higher_is_better=params.direction.higher_is_better,
-                sim_params=params.to_dict(),
-            )
-            config.validate()
-            executor = SimulatedExecutor(params, master_seed=config.master_seed)
+            config = load_config(env={}, overrides={
+                "master_seed": args.seed + run_index,
+                "higher_is_better": params.direction.higher_is_better,
+                "sim_params": params.to_dict(),
+            })
             out_dir = root / f"sim_{run_index:03d}"
-            engine = EvolutionEngine.start(config, executor, out_dir)
+            engine = EvolutionEngine.start(config, build_executor(config), out_dir)
             engine.run()
             run_events, _ = read_events(engine.store.events_path)
             events.extend(run_events)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import types
+import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -53,11 +55,9 @@ class RunConfig:
     ceilings: dict[Operator, float] = field(default_factory=lambda: dict(DEFAULT_CEILINGS))
     learning_rate: float = 0.15
     clip_cap: float = 4.0
-    max_bound_iterations: int = 10
     max_iterations: int = 30
     patience: int = 5
     improvement_threshold: float = 0.0
-    continue_parents_min: int = 1
     continue_parents_max: int = 1
     num_training_runs: int = 5
     higher_is_better: bool = True
@@ -72,6 +72,10 @@ class RunConfig:
     excluded_globs: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, _FIELD_TYPES[f.name]):
+                raise ConfigurationError(f.name, f"must be {f.type}, got {value!r}")
         if self.population_size < 1:
             raise ConfigurationError("population_size", f"must be >= 1, got {self.population_size}")
         if self.workers < 1:
@@ -82,14 +86,8 @@ class RunConfig:
             raise ConfigurationError("patience", f"must be >= 1, got {self.patience}")
         if not math.isfinite(self.improvement_threshold):
             raise ConfigurationError("improvement_threshold", "must be finite")
-        if self.continue_parents_min < 1:
-            raise ConfigurationError("continue_parents_min", "must be >= 1")
-        if self.continue_parents_max < self.continue_parents_min:
-            raise ConfigurationError(
-                "continue_parents_max",
-                f"must be >= continue_parents_min, got {self.continue_parents_max}"
-                f" < {self.continue_parents_min}",
-            )
+        if self.continue_parents_max < 1:
+            raise ConfigurationError("continue_parents_max", "must be >= 1")
         if self.num_training_runs < 1:
             raise ConfigurationError("num_training_runs", "must be >= 1")
         if self.executor not in ("simulated", "external"):
@@ -121,7 +119,6 @@ class RunConfig:
             ceilings=self.ceilings,
             learning_rate=self.learning_rate,
             clip_cap=self.clip_cap,
-            max_bound_iterations=self.max_bound_iterations,
         )
 
     def to_dict(self) -> dict:
@@ -132,6 +129,12 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        raw = dict(raw)
+        # retired keys that run_config.json files written before their
+        # removal still hold; neither ever changed a run at these values
+        raw.pop("continue_parents_min", None)
+        if raw.pop("max_bound_iterations", 10) != 10:
+            raise ConfigurationError("max_bound_iterations", "retired; only 10 is accepted")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -139,11 +142,31 @@ class RunConfig:
         merged = cls().to_dict()
         merged.update(raw)
         for key in PROB_MAPS:
+            if not _conforms(merged[key], dict[str, float]):
+                raise ConfigurationError(key, f"must map operators to numbers, got {merged[key]!r}")
             try:
                 merged[key] = {Operator(k): float(v) for k, v in merged[key].items()}
             except ValueError as exc:
                 raise ConfigurationError(key, str(exc)) from exc
         return cls(**merged)
+
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)  # resolved once, not on every validate
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a value has a declared type: ints pass as floats, but
+    bools are not numbers and strings are not lists."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_conforms(value, arg) for arg in args)
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(_conforms(v, args[1]) for v in value.values())
+    return isinstance(value, hint)
 
 
 # environment variable -> (config key, parser); probability maps get
@@ -156,7 +179,6 @@ _ENV_SCALARS = {
     "GA_MAX_ITERATIONS": ("max_iterations", int),
     "GA_PATIENCE": ("patience", int),
     "GA_THRESHOLD": ("improvement_threshold", float),
-    "GA_CONTINUE_PARENTS_MIN": ("continue_parents_min", int),
     "GA_CONTINUE_PARENTS_MAX": ("continue_parents_max", int),
     "NUM_TRAINING_RUNS": ("num_training_runs", int),
     "GA_HIGHER_IS_BETTER": ("higher_is_better", lambda v: v.lower() in ("1", "true", "yes")),

@@ -9,9 +9,10 @@ child replaces the incumbent.  Observed improvements feed the
 allocator; the best pool score feeds the stopping rule; a checkpoint is
 written after every iteration.
 
-A run's settings live only in run_config.json.  Starting and resuming
-build the pool, the allocator and the stopping tracker from the config
-the same way; resuming then lays the checkpointed state on top.
+A run's settings live only in run_config.json, and an elite only in
+its archive's manifest.  Starting and resuming build the pool, the
+allocator and the stopping tracker from the config the same way;
+resuming then lays the checkpointed state on top.
 """
 
 from __future__ import annotations
@@ -50,49 +51,24 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class EliteEntry:
-    """Best known result for one population slot.
-
-    score None marks the empty sentinel left behind when a slot's very
-    first run fails: it occupies the slot, loses every future
-    tournament, and carries no archive.
-    """
+    """Best known result for one population slot: a verified run and
+    the archive that records it."""
 
     slot: int
-    score: float | None
-    archive: ArchiveRef | None
+    score: float
+    archive: ArchiveRef
     origin_iteration: int
     origin_operator: Operator
     parent_ids: tuple[str, ...] = ()
 
-    @property
-    def valid(self) -> bool:
-        return self.score is not None
-
-    def to_dict(self) -> dict:
-        return {
-            "slot": self.slot,
-            "score": self.score,
-            "archive_id": self.archive.id if self.archive else None,
-            "origin_iteration": self.origin_iteration,
-            "origin_operator": self.origin_operator.value,
-            "parent_ids": list(self.parent_ids),
-        }
-
     @classmethod
-    def from_dict(cls, raw: dict, resolve: Callable[[str], ArchiveRef]) -> "EliteEntry":
-        archive = resolve(raw["archive_id"]) if raw.get("archive_id") else None
-        return cls(
-            slot=raw["slot"],
-            score=raw["score"],
-            archive=archive,
-            origin_iteration=raw["origin_iteration"],
-            origin_operator=Operator(raw["origin_operator"]),
-            parent_ids=tuple(raw.get("parent_ids", ())),
-        )
+    def from_archive(cls, ref: ArchiveRef) -> "EliteEntry":
+        """The elite an archive records, read from its manifest."""
+        return cls(ref.slot, ref.score, ref, ref.iteration, Operator(ref.operator), ref.parent_ids)
 
 
 class ElitePool:
-    """One entry per slot; entries are None until iteration 1 fills them."""
+    """One entry per slot; a slot is None until a verified run fills it."""
 
     def __init__(self, size: int, direction: MetricDirection):
         if size < 1:
@@ -101,34 +77,26 @@ class ElitePool:
         self.direction = direction
         self.entries: list[EliteEntry | None] = [None] * size
 
-    def snapshot(self) -> list[EliteEntry | None]:
-        return list(self.entries)
-
-    @property
-    def complete(self) -> bool:
-        return all(e is not None for e in self.entries)
-
     def best(self) -> EliteEntry | None:
-        """Best valid entry under the pool direction; earliest slot wins ties."""
+        """Best entry under the pool direction; earliest slot wins ties."""
         top: EliteEntry | None = None
         for entry in self.entries:
-            if entry is None or not entry.valid:
+            if entry is None:
                 continue
             if top is None or better(entry.score, top.score, self.direction):
                 top = entry
         return top
 
-    def to_dict(self) -> dict:
-        """The entries only; size and direction come from the run's
-        settings."""
-        return {"entries": [e.to_dict() if e else None for e in self.entries]}
-
-    def restore(self, raw: dict, resolve: Callable[[str], ArchiveRef]) -> None:
-        """Lay saved entries into this pool; their count must be its size."""
-        entries = raw["entries"]
-        if len(entries) != self.size:
-            raise ValueError(f"{len(entries)} pool entries saved, population_size is {self.size}")
-        self.entries = [EliteEntry.from_dict(e, resolve) if e is not None else None for e in entries]
+    def restore(self, ids: list[str | None], resolve: Callable[[str], ArchiveRef]) -> None:
+        """Lay saved elites into this pool, one archive id (or None) per
+        slot; their count must be its size and each archive its slot's."""
+        if len(ids) != self.size:
+            raise ValueError(f"{len(ids)} pool entries saved, population_size is {self.size}")
+        entries = [EliteEntry.from_archive(resolve(a)) if a else None for a in ids]
+        for slot, entry in enumerate(entries):
+            if entry is not None and entry.slot != slot:
+                raise ValueError(f"slot {slot} holds {entry.archive.id} of slot {entry.slot}")
+        self.entries = entries
 
 
 @dataclass(frozen=True)
@@ -166,19 +134,8 @@ class TournamentRecord:
     parent_ids: tuple[str, ...] = ()
 
     def to_event(self) -> dict:
-        return {
-            "type": "tournament",
-            "iteration": self.iteration,
-            "slot": self.slot,
-            "operator": self.operator.value,
-            "parent_score": self.parent_score,
-            "child_score": self.child_score,
-            "delta": self.delta,
-            "child_won": self.child_won,
-            "child_valid": self.child_valid,
-            "child_id": self.child_id,
-            "parent_ids": list(self.parent_ids),
-        }
+        # vars, not asdict: the fields are flat, and asdict deep-copies
+        return {**vars(self), "type": "tournament", "parent_ids": list(self.parent_ids)}
 
 
 @dataclass(frozen=True)
@@ -235,17 +192,13 @@ def select_parents(
     if operator is Operator.INITIAL:
         return []
     own = pool_entries[slot]
-    if own is None or not own.valid:
-        raise ConfigurationError("pool", f"slot {slot} has no valid elite to build on")
+    if own is None:
+        raise ConfigurationError("pool", f"slot {slot} has no elite to build on")
     parents = [own]
-    others = [e for e in pool_entries if e is not None and e.valid and e.slot != slot]
+    others = [e for e in pool_entries if e is not None and e.slot != slot]
     if operator is Operator.MERGE:
-        if len(pool_entries) < 2:
-            raise ConfigurationError(
-                "population_size", "merge needs a distinct second parent; population is 1"
-            )
         if not others:
-            raise ConfigurationError("pool", "merge found no valid elite in any other slot")
+            raise ConfigurationError("pool", "merge found no elite in any other slot")
         parents.append(others[rng.randrange(len(others))])
     elif operator is Operator.CONTINUE:
         extra = min(continue_max_parents - 1, len(others))
@@ -265,9 +218,9 @@ def plan_iteration(
     Iteration 1 seeds every slot with a fresh initial task.  Later
     iterations sample an operator per slot from the allocator, using a
     random stream derived from (master seed, iteration, slot) so the
-    plan is independent of scheduling and resume points.  A slot whose
-    elite is the empty sentinel replans as initial, as does a merge
-    that cannot find a valid partner slot.
+    plan is independent of scheduling and resume points.  A slot with
+    no elite yet replans as initial, as does a merge that finds no
+    elite in any other slot.
     """
     context = {"num_training_runs": config.num_training_runs, "iteration": iteration}
     if iteration == 1:
@@ -281,10 +234,10 @@ def plan_iteration(
         op = hedgemod.sample_task(hedge_state, rng)
         own = pool_entries[slot]
         if op is not Operator.INITIAL:
-            if own is None or not own.valid:
+            if own is None:
                 op = Operator.INITIAL
             elif op is Operator.MERGE and not any(
-                e is not None and e.valid and e.slot != slot for e in pool_entries
+                e is not None and e.slot != slot for e in pool_entries
             ):
                 op = Operator.INITIAL
         entries = select_parents(op, pool_entries, slot, rng, config.continue_parents_max)
@@ -303,31 +256,24 @@ def resolve_tournament(
     operator: Operator,
     parent_ids: tuple[str, ...] = (),
     slot: int,
-) -> tuple[EliteEntry, TournamentRecord]:
+) -> tuple[EliteEntry | None, TournamentRecord]:
     """Settle one slot: candidate child vs the previous elite.
 
     candidate None means the child run produced nothing verifiable; it
-    cannot win.  With no incumbent (iteration 1) the child installs
-    unconditionally, an invalid child leaving the empty sentinel.  A
-    sentinel incumbent is beaten by any valid child.  Otherwise the
-    child must be strictly better; ties keep the incumbent.
+    cannot win.  A slot with no incumbent takes any valid child, and an
+    invalid child leaves it empty.  Otherwise the child must be strictly
+    better; ties keep the incumbent.
     """
     child_valid = candidate is not None
     child_score = candidate.score if child_valid else None
-    parent_score = incumbent.score if incumbent is not None else None
-
     if incumbent is None:
-        winner = candidate if child_valid else EliteEntry(slot, None, None, iteration, operator)
+        parent_score = delta = None
         won = child_valid
-        delta = None
-    elif parent_score is None:
-        winner = candidate if child_valid else incumbent
-        won = child_valid
-        delta = None
     else:
+        parent_score = incumbent.score
         delta = improvement(child_score, parent_score, direction) if child_valid else None
         won = child_valid and better(child_score, parent_score, direction)
-        winner = candidate if won else incumbent
+    winner = candidate if won else incumbent
 
     record = TournamentRecord(
         iteration=iteration,
@@ -338,7 +284,7 @@ def resolve_tournament(
         delta=delta,
         child_won=won,
         child_valid=child_valid,
-        child_id=candidate.archive.id if child_valid and candidate.archive else None,
+        child_id=candidate.archive.id if child_valid else None,
         parent_ids=parent_ids,
     )
     return winner, record
@@ -413,7 +359,7 @@ class EvolutionEngine:
         if self.stopped:
             return True
         t = self.iteration + 1
-        previous = self.pool.snapshot()
+        previous = list(self.pool.entries)
         seeds = plan_iteration(previous, self.hedge_state, t, self.config)
         outcomes = self._dispatch(seeds, t)
 
@@ -500,42 +446,33 @@ class EvolutionEngine:
                 rules=rules,
             )
             try:
-                return workspace, self.executor.execute(seed, workspace)
+                return self.executor.execute(seed, workspace)
             except Exception as exc:  # transport failure: invalid child, not a crash
                 logger.warning("slot %d executor failure: %s", seed.slot, exc)
-                return workspace, None
+                return None
 
         with ThreadPoolExecutor(max_workers=self.config.workers) as tpe:
             return list(tpe.map(run_slot, seeds))
 
-    def _admit(self, seed: AgentSeed, dispatched, iteration: int) -> EliteEntry | None:
+    def _admit(self, seed: AgentSeed, outcome, iteration: int) -> EliteEntry | None:
         """Archive a verified outcome and shape it into a candidate entry."""
-        workspace, outcome = dispatched
         if outcome is None or not outcome.verified or outcome.score is None:
             return None
         if not math.isfinite(outcome.score):
             return None
         archive = self.store.archive_run(
-            workspace=workspace,
             outcome=outcome,
             operator=seed.operator.value,
             parent_ids=[p.id for p in seed.parents],
             iteration=iteration,
             slot=seed.slot,
         )
-        return EliteEntry(
-            slot=seed.slot,
-            score=outcome.score,
-            archive=archive,
-            origin_iteration=iteration,
-            origin_operator=seed.operator,
-            parent_ids=tuple(p.id for p in seed.parents),
-        )
+        return EliteEntry.from_archive(archive)
 
     def _checkpoint(self) -> None:
         ckpt = Checkpoint(
             iteration=self.iteration,
-            pool=self.pool.to_dict(),
+            pool=[e.archive.id if e else None for e in self.pool.entries],
             hedge=self.hedge_state.to_dict(),
             stopping={
                 "best_so_far": self.stopping.best_so_far,

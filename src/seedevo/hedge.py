@@ -39,7 +39,6 @@ class HedgeConfig:
     ceilings: dict[Operator, float]
     learning_rate: float
     clip_cap: float
-    max_bound_iterations: int
 
     @classmethod
     def build(
@@ -49,7 +48,6 @@ class HedgeConfig:
         ceilings: dict[Operator, float] | None = None,
         learning_rate: float = 0.15,
         clip_cap: float = 4.0,
-        max_bound_iterations: int = 10,
     ) -> "HedgeConfig":
         """Validate raw maps and drop zero-probability operators.
 
@@ -91,7 +89,6 @@ class HedgeConfig:
             ceilings={op: ceilings[op] for op in ceilings if op in active},
             learning_rate=learning_rate,
             clip_cap=clip_cap,
-            max_bound_iterations=max_bound_iterations,
         )
 
 
@@ -205,7 +202,7 @@ def sampling_probabilities(state: HedgeState) -> dict[Operator, float]:
     expw = {op: math.exp(state.log_weights[op] - peak) for op in cfg.active_tasks}
     z = sum(expw.values())
     probs = {op: expw[op] / z for op in cfg.active_tasks}
-    return enforce_bounds(probs, cfg.floors, cfg.ceilings, cfg.max_bound_iterations)
+    return enforce_bounds(probs, cfg.floors, cfg.ceilings)
 
 
 def sample_task(state: HedgeState, rng: random.Random) -> Operator:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError
@@ -28,15 +28,6 @@ class OperatorStats:
     wins: int
     win_rate: float
     median_relative_gain: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "operator": self.operator,
-            "tournaments": self.tournaments,
-            "wins": self.wins,
-            "win_rate": self.win_rate,
-            "median_relative_gain": self.median_relative_gain,
-        }
 
 
 def tournament_rows(events: list[dict]) -> list[dict]:
@@ -143,7 +134,7 @@ def export_report(
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "operator_stats": [s.to_dict() for s in stats],
+            "operator_stats": [asdict(s) for s in stats],
             "best_score_progression": [
                 {"iteration": it, "best_score": score} for it, score in progression
             ],

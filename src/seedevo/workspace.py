@@ -13,12 +13,15 @@ root:
         archives/<id>/      manifest.json, experiments/, solution/, logs/
         workspaces/iter_NNNN/slot_NN/
 
-The checkpoint (version 2) holds the last finished iteration, the
-stopped flag, the event log offset, the pool entries, the allocator
-log-weights and the stopping tracker's best-so-far and stagnation
-count.  Everything derivable from run_config.json is rebuilt from it
-on resume; a version-1 checkpoint also carried those copies and loads
-the same way, its extra keys ignored.
+The checkpoint (version 3) holds the last finished iteration, the
+stopped flag, the event log offset, the pool as one archive id (or
+null) per slot, the allocator log-weights and the stopping tracker's
+best-so-far and stagnation count.  Everything derivable from
+run_config.json is rebuilt from it on resume, and everything about an
+elite from its archive's manifest.  Version-1 and version-2
+checkpoints, which also carried copies of settings and of each elite's
+manifest fields, load the same way: only each pool entry's archive id
+is read.
 
 Archive ids are it{iteration:04d}_slot{slot:02d}.  Each archive's
 manifest is the only record of it, and paths are derived from the
@@ -45,8 +48,10 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 #: Version of checkpoint.json this code writes.  Version 1 also repeated
-#: run settings that version 2 drops; load_checkpoint reads both.
-CHECKPOINT_VERSION = 2
+#: run settings, and versions 1 and 2 stored each pool entry as an object
+#: ({"entries": [...]}) where version 3 stores its archive id alone;
+#: load_checkpoint reads all three.
+CHECKPOINT_VERSION = 3
 
 #: Where a workspace receives its parents.  A directory of this name is
 #: never copied into a curated parent, so inherited archives do not nest
@@ -203,68 +208,6 @@ def materialize_seed(
     return workspace
 
 
-def archive_run(
-    workspace: Path,
-    outcome: "RunOutcome",
-    archive_dir: Path,
-    archive_id: str,
-    operator: str,
-    parent_ids: list[str],
-    iteration: int,
-    slot: int,
-) -> ArchiveRef:
-    """Freeze one verified run into an immutable archive directory.
-
-    Captures the per-experiment records, the workspace's solution/ and
-    logs/ trees when present, and a manifest tying scores to lineage.
-    Unverifiable outcomes are rejected; a workspace can be archived at
-    most once.
-    """
-    workspace = Path(workspace)
-    if not outcome.verified:
-        raise ArchiveError("refusing to archive an unverified outcome")
-    if not outcome.experiments:
-        raise ArchiveError("verified outcome carries no experiment records")
-    marker = workspace / ".archived"
-    if marker.exists():
-        raise ArchiveError(f"workspace already archived: {workspace}")
-    archive_dir = Path(archive_dir)
-    if archive_dir.exists():
-        raise ArchiveError(f"archive collision: {archive_dir}")
-
-    exp_dir = archive_dir / "experiments"
-    exp_dir.mkdir(parents=True)
-    names = set()
-    for record in outcome.experiments:
-        if record.run_name in names:
-            raise ArchiveError(f"duplicate experiment run name {record.run_name!r}")
-        names.add(record.run_name)
-        _atomic_write_json(exp_dir / f"{record.run_name}.json", record.to_dict())
-
-    for sub in ("solution", "logs"):
-        src = workspace / sub
-        dest = archive_dir / sub
-        if src.is_dir():
-            shutil.copytree(src, dest)
-        else:
-            dest.mkdir()
-
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "id": archive_id,
-        "iteration": iteration,
-        "slot": slot,
-        "score": outcome.score,
-        "operator": operator,
-        "parent_ids": list(parent_ids),
-        "experiments": [r.run_name for r in outcome.experiments],
-        "diagnostics": dict(outcome.diagnostics),
-    }
-    _atomic_write_json(archive_dir / "manifest.json", manifest)
-    marker.write_text(archive_id, encoding="utf-8")
-    return ArchiveRef.from_manifest(archive_dir, manifest)
-
-
 # -- checkpointing ----------------------------------------------------
 
 
@@ -274,7 +217,7 @@ class Checkpoint:
     lays over the state built from run_config.json."""
 
     iteration: int
-    pool: dict
+    pool: list  # one archive id, or None for an empty slot, per slot
     hedge: dict
     stopping: dict
     event_log_offset: int
@@ -283,13 +226,10 @@ class Checkpoint:
 
     REQUIRED = ("iteration", "pool", "hedge", "stopping", "event_log_offset", "stopped")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def save_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
     """Write atomically: a crash mid-save leaves the previous file intact."""
-    _atomic_write_json(Path(path), checkpoint.to_dict())
+    _atomic_write_json(Path(path), asdict(checkpoint))
 
 
 def load_checkpoint(path: Path) -> Checkpoint | None:
@@ -307,15 +247,24 @@ def load_checkpoint(path: Path) -> Checkpoint | None:
     for key in Checkpoint.REQUIRED:
         if key not in raw:
             raise CorruptStateError(f"checkpoint field missing: {key}")
-    if raw.get("schema_version") not in (1, CHECKPOINT_VERSION):
+    if raw.get("schema_version") not in (1, 2, CHECKPOINT_VERSION):
         raise CorruptStateError(f"checkpoint schema_version: {raw.get('schema_version')!r}")
+    pool = raw["pool"]
+    if raw["schema_version"] < CHECKPOINT_VERSION:
+        # an older pool holds one object per slot; only its archive id counts
+        try:
+            pool = [entry and entry["archive_id"] for entry in pool["entries"]]
+        except (KeyError, TypeError):
+            pool = None
+    if not isinstance(pool, list) or not all(a is None or isinstance(a, str) for a in pool):
+        raise CorruptStateError("checkpoint field pool: not one archive id or null per slot")
     if not isinstance(raw["iteration"], int) or raw["iteration"] < 0:
         raise CorruptStateError(f"checkpoint field iteration: {raw['iteration']!r}")
     if not isinstance(raw["event_log_offset"], int) or raw["event_log_offset"] < 0:
         raise CorruptStateError(f"checkpoint field event_log_offset: {raw['event_log_offset']!r}")
     return Checkpoint(
         iteration=raw["iteration"],
-        pool=raw["pool"],
+        pool=pool,
         hedge=raw["hedge"],
         stopping=raw["stopping"],
         event_log_offset=raw["event_log_offset"],
@@ -401,24 +350,61 @@ class RunStore:
 
     def archive_run(
         self,
-        workspace: Path,
         outcome: "RunOutcome",
         operator: str,
         parent_ids: list[str],
         iteration: int,
         slot: int,
     ) -> ArchiveRef:
+        """Freeze the verified run of one (iteration, slot) into its
+        immutable archive directory.
+
+        Captures the per-experiment records, the workspace's solution/
+        and logs/ trees when present, and a manifest tying scores to
+        lineage.  Unverifiable outcomes are rejected.  The workspace and
+        the archive both derive from the (iteration, slot) key, so the
+        collision check refuses a second archive of a workspace.
+        """
+        if not outcome.verified:
+            raise ArchiveError("refusing to archive an unverified outcome")
+        if not outcome.experiments:
+            raise ArchiveError("verified outcome carries no experiment records")
+        workspace = self.workspace_path(iteration, slot)
         archive_id = self.archive_id(iteration, slot)
-        return archive_run(
-            workspace=workspace,
-            outcome=outcome,
-            archive_dir=self.archives_dir / archive_id,
-            archive_id=archive_id,
-            operator=operator,
-            parent_ids=parent_ids,
-            iteration=iteration,
-            slot=slot,
-        )
+        archive_dir = self.archives_dir / archive_id
+        if archive_dir.exists():
+            raise ArchiveError(f"archive collision: {archive_dir}")
+
+        exp_dir = archive_dir / "experiments"
+        exp_dir.mkdir(parents=True)
+        names = set()
+        for record in outcome.experiments:
+            if record.run_name in names:
+                raise ArchiveError(f"duplicate experiment run name {record.run_name!r}")
+            names.add(record.run_name)
+            _atomic_write_json(exp_dir / f"{record.run_name}.json", record.to_dict())
+
+        for sub in ("solution", "logs"):
+            src = workspace / sub
+            dest = archive_dir / sub
+            if src.is_dir():
+                shutil.copytree(src, dest)
+            else:
+                dest.mkdir()
+
+        manifest = {
+            "schema_version": SCHEMA_VERSION,
+            "id": archive_id,
+            "iteration": iteration,
+            "slot": slot,
+            "score": outcome.score,
+            "operator": operator,
+            "parent_ids": list(parent_ids),
+            "experiments": [r.run_name for r in outcome.experiments],
+            "diagnostics": dict(outcome.diagnostics),
+        }
+        _atomic_write_json(archive_dir / "manifest.json", manifest)
+        return ArchiveRef.from_manifest(archive_dir, manifest)
 
     def resolve_archive(self, archive_id: str) -> ArchiveRef:
         """Rebuild a reference from the archive's own manifest; the path

@@ -8,6 +8,9 @@ import json
 import pytest
 
 from seedevo.cli import main
+from seedevo.config import load_config
+from seedevo.engine import EvolutionEngine
+from seedevo.executors import build_executor
 from seedevo.workspace import RunStore
 
 
@@ -112,6 +115,37 @@ def test_run_bad_sim_param_values_exit_1(tmp_path, capsys, params, field):
     assert not (tmp_path / "o").exists()
 
 
+#: Config values of the wrong type, with the field each error names.
+BAD_CONFIG_VALUES = [
+    ({"excluded_globs": "x*"}, "excluded_globs"),
+    ({"floors": 3}, "floors"),
+    ({"base_probs": {"eda": "0.5"}}, "base_probs"),
+    ({"population_size": "abc"}, "population_size"),
+    ({"workers": 2.5}, "workers"),
+    ({"num_training_runs": True}, "num_training_runs"),
+    ({"higher_is_better": "no"}, "higher_is_better"),
+    ({"external_command": "train.sh"}, "external_command"),
+]
+
+
+@pytest.mark.parametrize("values,field", BAD_CONFIG_VALUES)
+def test_config_value_of_wrong_type_exits_1_or_3(tmp_path, capsys, values, field):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(values))
+    assert main(run_args(tmp_path / "x", "--config", str(config_file))) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith(f"configuration error: {field}:") for line in err.splitlines())
+    assert not (tmp_path / "x").exists()
+
+    out = tmp_path / "run"
+    assert main(run_args(out)) == 0
+    stored = json.loads((out / "run_config.json").read_text())
+    (out / "run_config.json").write_text(json.dumps({**stored, **values}))
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"corrupt state: run_config.json: {field}:")
+
+
 # -- resume ----------------------------------------------------------
 
 
@@ -162,6 +196,35 @@ def test_resume_invalid_run_config_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["resume", "--output", str(out)]) == 3
     assert capsys.readouterr().err.startswith("corrupt state: run_config.json: workers")
+
+
+def test_resume_archive_in_wrong_slot_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(run_args(out, "--population", "2")) == 0
+    path = out / "checkpoint.json"
+    raw = json.loads(path.read_text())
+    assert raw["pool"][1].endswith("_slot01")
+    raw["pool"][0] = raw["pool"][1]
+    path.write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt state:")
+    assert f"slot 0 holds {raw['pool'][1]}" in err
+
+
+def test_resume_root_with_retired_config_keys_is_identical(tmp_path, capsys):
+    # run_config.json files written before continue_parents_min and
+    # max_bound_iterations were retired hold both keys
+    assert main(run_args(tmp_path / "full", "--max-iterations", "3")) == 0
+    config = load_config(overrides={"master_seed": 11, "max_iterations": 3, "patience": 50})
+    EvolutionEngine.start(config, build_executor(config), tmp_path / "old").step()
+    path = tmp_path / "old" / "run_config.json"
+    stored = json.loads(path.read_text())
+    path.write_text(json.dumps({**stored, "continue_parents_min": 1, "max_bound_iterations": 10}))
+    assert main(["resume", "--output", str(tmp_path / "old")]) == 0
+    for name in ("events.jsonl", "report/report.json"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
 def test_resume_missing_run_dir_exits_3(tmp_path):

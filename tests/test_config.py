@@ -38,11 +38,9 @@ def test_defaults_frozen():
     assert config.ceilings == {Op.MERGE: 0.30}
     assert config.learning_rate == 0.15
     assert config.clip_cap == 4.0
-    assert config.max_bound_iterations == 10
     assert config.max_iterations == 30
     assert config.patience == 5
     assert config.improvement_threshold == 0.0
-    assert config.continue_parents_min == 1
     assert config.continue_parents_max == 1
     assert config.num_training_runs == 5
     assert config.higher_is_better is True
@@ -72,7 +70,7 @@ def test_default_instances_do_not_share_maps():
         ("max_iterations", 0),
         ("patience", 0),
         ("improvement_threshold", float("inf")),
-        ("continue_parents_min", 0),
+        ("continue_parents_max", 0),
         ("num_training_runs", 0),
         ("executor", "quantum"),
         ("data_provisioning", "nfs"),
@@ -82,12 +80,6 @@ def test_default_instances_do_not_share_maps():
 def test_validate_rejects_bad_scalar(field, value):
     config = RunConfig(**{field: value})
     with pytest.raises(ConfigurationError, match=field):
-        config.validate()
-
-
-def test_validate_parents_max_below_min():
-    config = RunConfig(continue_parents_min=2, continue_parents_max=1)
-    with pytest.raises(ConfigurationError, match="continue_parents_max"):
         config.validate()
 
 
@@ -154,6 +146,14 @@ def test_from_dict_rejects_unknown_operator():
         RunConfig.from_dict({"base_probs": {"mutate": 0.5}})
 
 
+def test_from_dict_drops_retired_keys():
+    # run_config.json files written before the two settings were retired
+    config = RunConfig.from_dict({"continue_parents_min": 2, "max_bound_iterations": 10})
+    assert config == RunConfig()
+    with pytest.raises(ConfigurationError, match="max_bound_iterations"):
+        RunConfig.from_dict({"max_bound_iterations": 12})
+
+
 def test_from_dict_partial_prob_map_replaces_whole_map():
     # from_dict is a full-document read: a map given there is the map
     config = RunConfig.from_dict({"base_probs": {"continue": 1.0}})
@@ -212,7 +212,6 @@ def test_env_scalar_coverage():
         "GA_MAX_ITERATIONS": "12",
         "GA_PATIENCE": "4",
         "GA_THRESHOLD": "0.01",
-        "GA_CONTINUE_PARENTS_MIN": "1",
         "GA_CONTINUE_PARENTS_MAX": "2",
         "NUM_TRAINING_RUNS": "3",
         "GA_HIGHER_IS_BETTER": "false",

@@ -29,7 +29,7 @@ from seedevo.engine import (
 )
 from seedevo.errors import ConfigurationError, EvaluationError
 from seedevo.events import read_events
-from seedevo.executors import SimModelParams, SimulatedExecutor
+from seedevo.executors import SimModelParams, SimulatedExecutor, build_executor
 from seedevo.hedge import HedgeConfig, new_state
 from seedevo.operators import Operator as Op
 from seedevo.rng import derive_rng
@@ -50,19 +50,13 @@ def make_ref(archive_id: str, score: float, slot: int = 0) -> ArchiveRef:
     )
 
 
-def make_entry(slot: int, score: float | None) -> EliteEntry:
-    archive = make_ref(f"a{slot}", score or 0.0, slot) if score is not None else None
-    return EliteEntry(
-        slot=slot,
-        score=score,
-        archive=archive,
-        origin_iteration=1,
-        origin_operator=Op.INITIAL,
-    )
+def make_entry(slot: int, score: float) -> EliteEntry:
+    return EliteEntry.from_archive(make_ref(f"a{slot}", score, slot))
 
 
 def full_pool(scores: list[float | None]) -> list[EliteEntry | None]:
-    return [make_entry(i, s) for i, s in enumerate(scores)]
+    """Pool entries from scores; None leaves the slot empty."""
+    return [None if s is None else make_entry(i, s) for i, s in enumerate(scores)]
 
 
 # -- better / improvement --------------------------------------------
@@ -275,10 +269,11 @@ def test_plan_iteration_is_deterministic():
 
 
 def test_plan_iteration_sentinel_slot_replans_as_initial():
+    # a slot whose first run failed stays empty until a run fills it
     config = plan_config(
         population_size=2, base_probs={Op.CONTINUE: 1.0}, floors={}, ceilings={}
     )
-    pool = [make_entry(0, 0.5), make_entry(1, None)]
+    pool = full_pool([0.5, None])
     seeds = plan_iteration(pool, new_state(config.hedge_config()), 2, config)
     assert seeds[0].operator is Op.CONTINUE
     assert seeds[1].operator is Op.INITIAL and seeds[1].parents == ()
@@ -288,10 +283,10 @@ def test_plan_iteration_merge_without_partner_falls_back():
     config = plan_config(
         population_size=2, base_probs={Op.MERGE: 1.0}, floors={}, ceilings={}
     )
-    pool = [make_entry(0, 0.5), make_entry(1, None)]
+    pool = full_pool([0.5, None])
     seeds = plan_iteration(pool, new_state(config.hedge_config()), 2, config)
-    assert seeds[0].operator is Op.INITIAL  # no valid partner slot exists
-    assert seeds[1].operator is Op.INITIAL  # own elite is the sentinel
+    assert seeds[0].operator is Op.INITIAL  # no partner slot holds an elite
+    assert seeds[1].operator is Op.INITIAL  # own slot is empty
 
 
 def test_plan_iteration_merge_with_partner():
@@ -377,22 +372,24 @@ def test_tournament_iteration_one_installs_unconditionally():
 
 
 def test_tournament_iteration_one_failure_leaves_sentinel():
+    # the slot stays empty
     winner, record = resolve_tournament(
         None, None, HIGHER, iteration=1, operator=Op.INITIAL, slot=2,
     )
-    assert winner.score is None and not winner.valid
-    assert winner.slot == 2
+    assert winner is None
+    assert record.slot == 2 and record.parent_score is None and record.delta is None
     assert not record.child_won and not record.child_valid
 
 
 def test_tournament_any_valid_child_beats_sentinel():
-    sentinel = make_entry(1, None)
+    # an empty slot after iteration 1 takes any valid child
     child = EliteEntry(1, -5.0, make_ref("c", -5.0, 1), 3, Op.INITIAL)
     winner, record = resolve_tournament(
-        child, sentinel, HIGHER, iteration=3, operator=Op.INITIAL, slot=1,
+        child, None, HIGHER, iteration=3, operator=Op.INITIAL, slot=1,
     )
     assert winner is child and record.child_won
-    assert record.delta is None  # no finite parent to measure against
+    assert record.parent_score is None
+    assert record.delta is None  # no parent to measure against
 
 
 # -- pool ------------------------------------------------------------
@@ -405,25 +402,24 @@ def test_pool_best_earliest_slot_wins_ties():
 
 
 def test_pool_best_ignores_sentinels():
+    # empty slots
     pool = ElitePool(2, HIGHER)
-    pool.entries = [make_entry(0, None), make_entry(1, 0.3)]
+    pool.entries = full_pool([None, 0.3])
     assert pool.best().slot == 1
-    pool.entries = [make_entry(0, None), make_entry(1, None)]
+    pool.entries = full_pool([None, None])
     assert pool.best() is None
 
 
 def test_pool_round_trip():
+    refs = {"a0": make_ref("a0", 0.4, 0), "b0": make_ref("b0", 0.5, 0)}
     pool = ElitePool(2, LOWER)
-    pool.entries = full_pool([0.4, None])
-    refs = {"a0": pool.entries[0].archive}
-    assert set(pool.to_dict()) == {"entries"}
-    back = ElitePool(2, LOWER)
-    back.restore(pool.to_dict(), refs.__getitem__)
-    assert back.entries[0].score == 0.4
-    assert back.entries[0].archive.id == "a0"
-    assert back.entries[1].score is None and back.entries[1].archive is None
+    pool.restore(["a0", None], refs.__getitem__)
+    assert pool.entries[0] == make_entry(0, 0.4)
+    assert pool.entries[1] is None
     with pytest.raises(ValueError, match="population_size"):
-        ElitePool(3, LOWER).restore(pool.to_dict(), refs.__getitem__)
+        ElitePool(3, LOWER).restore(["a0", None], refs.__getitem__)
+    with pytest.raises(ValueError, match="slot 1 holds b0"):
+        pool.restore(["a0", "b0"], refs.__getitem__)
 
 
 # -- end-to-end runs -------------------------------------------------
@@ -482,7 +478,7 @@ def test_failed_first_iteration_slot_recovers(tmp_path):
     executor = ScriptedExecutor({(1, 0): 0.5, (2, 0): 0.51, (2, 1): 0.3})
     engine = EvolutionEngine.start(config, executor, tmp_path / "run")
     engine.step()
-    assert engine.pool.entries[1].score is None  # sentinel holds the slot
+    assert engine.pool.entries[1] is None  # the failed slot stays empty
     engine.step()
     assert engine.pool.entries[1].score == 0.3  # initial replan filled it
     assert engine.pool.entries[1].origin_operator is Op.INITIAL
@@ -498,9 +494,9 @@ def test_elite_monotonicity_and_record_count(tmp_path):
     for _ in range(6):
         engine.step()
         for slot, entry in enumerate(engine.pool.entries):
-            if previous[slot] is not None and entry.valid and previous[slot].valid:
+            if previous[slot] is not None:
                 assert not better(previous[slot].score, entry.score, HIGHER)
-        previous = engine.pool.snapshot()
+        previous = list(engine.pool.entries)
     events, _ = read_events(engine.store.events_path)
     for t in range(1, 7):
         rows = [e for e in events if e["type"] == "tournament" and e["iteration"] == t]
@@ -600,52 +596,70 @@ def sim_engine(config: RunConfig, root: Path) -> EvolutionEngine:
 
 def test_checkpoint_holds_run_state_only(tmp_path):
     config = RunConfig(population_size=2, workers=1, master_seed=3, max_iterations=2)
-    sim_engine(config, tmp_path / "run").run()
+    engine = sim_engine(config, tmp_path / "run")
+    engine.run()
     raw = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
-    assert raw["schema_version"] == 2
+    assert raw["schema_version"] == 3
     assert set(raw) == {
         "schema_version", "iteration", "stopped", "event_log_offset", "pool", "hedge", "stopping",
     }
-    assert set(raw["pool"]) == {"entries"}
+    # the archive is the one record of an elite
+    assert raw["pool"] == [e.archive.id for e in engine.pool.entries]
     assert set(raw["hedge"]) == {"log_weights"}
     assert set(raw["stopping"]) == {"best_so_far", "stagnation_count"}
 
 
-def test_version_1_checkpoint_resumes_identically(tmp_path):
-    config = RunConfig(population_size=3, workers=2, master_seed=17, max_iterations=5, patience=50)
-    sim_engine(config, tmp_path / "full").run()
+def old_pool_entry(slot: int, entry: EliteEntry | None) -> dict:
+    """One pool entry as checkpoint versions 1 and 2 wrote it."""
+    if entry is None:  # a slot whose first run failed: no score, no archive
+        return {"slot": slot, "score": None, "archive_id": None, "origin_iteration": 1,
+                "origin_operator": "initial", "parent_ids": []}
+    return {"slot": slot, "score": entry.score, "archive_id": entry.archive.id,
+            "origin_iteration": entry.origin_iteration,
+            "origin_operator": entry.origin_operator.value, "parent_ids": list(entry.parent_ids)}
 
-    split = sim_engine(config, tmp_path / "v1")
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_checkpoint_resumes_identically(tmp_path, version):
+    config = RunConfig(population_size=4, workers=2, master_seed=9, max_iterations=5, patience=50,
+                       sim_params={"failure_prob": {"initial": 0.5}})
+    EvolutionEngine.start(config, build_executor(config), tmp_path / "full").run()
+
+    split = EvolutionEngine.start(config, build_executor(config), tmp_path / "old")
     split.step()
     split.step()
-    path = tmp_path / "v1" / "checkpoint.json"
+    assert None in split.pool.entries  # an empty slot, written as an entry without archive
+    path = tmp_path / "old" / "checkpoint.json"
     raw = json.loads(path.read_text())
-    assert raw["schema_version"] == 2
-    # put back the copies of run settings a version-1 checkpoint carried
-    hedge = config.hedge_config()
-    raw["schema_version"] = 1
-    raw["rng"] = {"master_seed": config.master_seed, "next_iteration": 3}
-    raw["hedge"]["config"] = {
-        "active_tasks": [op.value for op in hedge.active_tasks],
-        "base_probs": {op.value: p for op, p in hedge.base_probs.items()},
-        "floors": {op.value: p for op, p in hedge.floors.items()},
-        "ceilings": {op.value: p for op, p in hedge.ceilings.items()},
-        "learning_rate": hedge.learning_rate,
-        "clip_cap": hedge.clip_cap,
-        "max_bound_iterations": hedge.max_bound_iterations,
-    }
-    raw["stopping"].update(
-        threshold=config.improvement_threshold,
-        patience=config.patience,
-        max_iterations=config.max_iterations,
-    )
-    raw["pool"].update(size=config.population_size, direction={"higher_is_better": True})
+    assert raw["schema_version"] == 3
+    raw["schema_version"] = version
+    raw["pool"] = {"entries": [old_pool_entry(i, e) for i, e in enumerate(split.pool.entries)]}
+    if version == 1:
+        # put back the copies of run settings a version-1 checkpoint carried
+        hedge = config.hedge_config()
+        raw["rng"] = {"master_seed": config.master_seed, "next_iteration": 3}
+        raw["hedge"]["config"] = {
+            "active_tasks": [op.value for op in hedge.active_tasks],
+            "base_probs": {op.value: p for op, p in hedge.base_probs.items()},
+            "floors": {op.value: p for op, p in hedge.floors.items()},
+            "ceilings": {op.value: p for op, p in hedge.ceilings.items()},
+            "learning_rate": hedge.learning_rate,
+            "clip_cap": hedge.clip_cap,
+            "max_bound_iterations": 10,
+        }
+        raw["stopping"].update(
+            threshold=config.improvement_threshold,
+            patience=config.patience,
+            max_iterations=config.max_iterations,
+        )
+        raw["pool"].update(size=config.population_size, direction={"higher_is_better": True})
     path.write_text(json.dumps(raw))
 
-    resumed = EvolutionEngine.resume(tmp_path / "v1")
+    resumed = EvolutionEngine.resume(tmp_path / "old")
     assert resumed.iteration == 2
+    assert resumed.pool.entries == split.pool.entries
     resumed.run()
-    assert (tmp_path / "v1" / "events.jsonl").read_bytes() == (
+    assert (tmp_path / "old" / "events.jsonl").read_bytes() == (
         tmp_path / "full" / "events.jsonl"
     ).read_bytes()
 

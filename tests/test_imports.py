@@ -1,14 +1,20 @@
-"""The package's intra-package import graph must stay acyclic.
+"""Static checks over the package sources.
 
-Every src/seedevo/*.py is parsed with ast; imports at module level and
-inside functions both count, imports under `if TYPE_CHECKING:` do not
-(they never run).
+The intra-package import graph must stay acyclic: every
+src/seedevo/*.py is parsed with ast; imports at module level and inside
+functions both count, imports under `if TYPE_CHECKING:` do not (they
+never run).  And every RunConfig field must be read somewhere outside
+the code that checks and serializes it, so no setting silently does
+nothing.
 """
 
 from __future__ import annotations
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from seedevo.config import RunConfig
 
 PACKAGE = "seedevo"
 SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
@@ -115,3 +121,36 @@ def test_collector_counts_function_imports_and_skips_type_checking():
     assert find_cycle(graph) is None
     sources["a"] = "import seedevo.b\n"
     assert find_cycle(import_graph(sources)) == ["a", "b", "a"]
+
+
+class _AttributeReads(ast.NodeVisitor):
+    """Attribute names read anywhere except inside the skipped
+    (class, method) pairs."""
+
+    def __init__(self, skip: set[tuple[str, str]]):
+        self.skip = skip
+        self.cls: str | None = None
+        self.found: set[str] = set()
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        outer, self.cls = self.cls, node.name
+        self.generic_visit(node)
+        self.cls = outer
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        if (self.cls, node.name) not in self.skip:
+            self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self.found.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_run_config_field_is_read():
+    reads = _AttributeReads({("RunConfig", m) for m in ("validate", "to_dict", "from_dict")})
+    for text in package_sources().values():
+        reads.visit(ast.parse(text))
+    assert "population_size" in reads.found  # the collector sees real reads
+    unread = sorted(f.name for f in fields(RunConfig) if f.name not in reads.found)
+    assert unread == [], f"RunConfig fields nothing reads: {unread}"

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -210,7 +211,7 @@ def test_export_json_round_trip(tmp_path):
     [path] = export_report(stats, prog, edges, "json", tmp_path / "out")
     raw = json.loads(path.read_text())
     assert raw["schema_version"] == 1
-    assert raw["operator_stats"] == [s.to_dict() for s in stats]
+    assert raw["operator_stats"] == [asdict(s) for s in stats]
     assert raw["best_score_progression"] == [
         {"iteration": 1, "best_score": 0.5},
         {"iteration": 2, "best_score": 0.6},

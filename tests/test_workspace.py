@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,6 @@ from seedevo.workspace import (
     Checkpoint,
     CurationRules,
     RunStore,
-    archive_run,
     curate_parent_archive,
     load_checkpoint,
     materialize_seed,
@@ -207,24 +207,23 @@ def test_materialize_records_curation_warnings(tmp_path):
 # -- archiving -------------------------------------------------------
 
 
-def archive_args(tmp_path, outcome, archive_id="it0001_slot00"):
-    ws = tmp_path / "ws"
-    if not ws.exists():
-        build_tree(ws, {"solution/model.py": "m", "logs/run.log": "log line"})
-    return dict(
-        workspace=ws,
-        outcome=outcome,
-        archive_dir=tmp_path / "archives" / archive_id,
-        archive_id=archive_id,
-        operator="continue",
-        parent_ids=["p0"],
-        iteration=1,
-        slot=0,
-    )
+def store_with_run(tmp_path, files=None) -> RunStore:
+    """A run store whose workspace of iteration 1, slot 0 holds a finished run."""
+    store = RunStore.create(tmp_path / "run")
+    workspace = store.workspace_path(1, 0)
+    workspace.mkdir(parents=True)
+    if files is None:
+        files = {"solution/model.py": "m", "logs/run.log": "log line"}
+    build_tree(workspace, files)
+    return store
+
+
+def archive(store: RunStore, outcome) -> ArchiveRef:
+    return store.archive_run(outcome, "continue", ["p0"], 1, 0)
 
 
 def test_archive_run_freezes_experiments_and_manifest(tmp_path):
-    ref = archive_run(**archive_args(tmp_path, verified_outcome(0.8, n=5)))
+    ref = archive(store_with_run(tmp_path), verified_outcome(0.8, n=5))
     exp_dir = ref.path / "experiments"
     names = sorted(p.name for p in exp_dir.iterdir())
     assert names == [f"run_{i}.json" for i in range(1, 6)]
@@ -241,8 +240,7 @@ def test_archive_run_freezes_experiments_and_manifest(tmp_path):
 
 
 def test_archive_creates_empty_dirs_when_workspace_lacks_them(tmp_path):
-    (tmp_path / "ws").mkdir()
-    ref = archive_run(**archive_args(tmp_path, verified_outcome()))
+    ref = archive(store_with_run(tmp_path, files={}), verified_outcome())
     assert (ref.path / "solution").is_dir()
     assert (ref.path / "logs").is_dir()
     assert list((ref.path / "solution").iterdir()) == []
@@ -251,7 +249,7 @@ def test_archive_creates_empty_dirs_when_workspace_lacks_them(tmp_path):
 def test_archive_rejects_unverified_outcome(tmp_path):
     bad = RunOutcome.failure(reason="no results")
     with pytest.raises(ArchiveError):
-        archive_run(**archive_args(tmp_path, bad))
+        archive(store_with_run(tmp_path), bad)
 
 
 def test_archive_rejects_verified_without_experiments(tmp_path):
@@ -263,20 +261,24 @@ def test_archive_rejects_verified_without_experiments(tmp_path):
 
     bad = SimpleNamespace(score=0.5, experiments=(), verified=True, diagnostics={})
     with pytest.raises(ArchiveError):
-        archive_run(**archive_args(tmp_path, bad))
+        archive(store_with_run(tmp_path), bad)
 
 
 def test_archive_twice_from_same_workspace_fails(tmp_path):
-    archive_run(**archive_args(tmp_path, verified_outcome()))
-    with pytest.raises(ArchiveError):
-        archive_run(**archive_args(tmp_path, verified_outcome(), archive_id="other"))
+    # the workspace and the archive derive from one (iteration, slot) key
+    store = store_with_run(tmp_path)
+    archive(store, verified_outcome())
+    with pytest.raises(ArchiveError, match="collision"):
+        archive(store, verified_outcome(0.9))
+    manifest = json.loads((store.archives_dir / "it0001_slot00" / "manifest.json").read_text())
+    assert manifest["score"] == 0.8
 
 
 def test_archive_dir_collision_fails(tmp_path):
-    args = archive_args(tmp_path, verified_outcome())
-    args["archive_dir"].mkdir(parents=True)
+    store = store_with_run(tmp_path)
+    (store.archives_dir / "it0001_slot00").mkdir()
     with pytest.raises(ArchiveError):
-        archive_run(**args)
+        archive(store, verified_outcome())
 
 
 def test_archive_rejects_duplicate_experiment_names(tmp_path):
@@ -286,7 +288,7 @@ def test_archive_rejects_duplicate_experiment_names(tmp_path):
     )
     bad = RunOutcome(score=0.6, experiments=records, verified=True)
     with pytest.raises(ArchiveError):
-        archive_run(**archive_args(tmp_path, bad))
+        archive(store_with_run(tmp_path), bad)
 
 
 # -- checkpoints -----------------------------------------------------
@@ -295,7 +297,7 @@ def test_archive_rejects_duplicate_experiment_names(tmp_path):
 def sample_checkpoint(iteration: int = 2) -> Checkpoint:
     return Checkpoint(
         iteration=iteration,
-        pool={"size": 1, "entries": []},
+        pool=["it0001_slot00", None],
         hedge={"log_weights": {}},
         stopping={"best_so_far": 0.5},
         event_log_offset=512,
@@ -323,7 +325,7 @@ def test_checkpoint_corrupt_json(tmp_path):
 
 def test_checkpoint_missing_field_is_named(tmp_path):
     path = tmp_path / "checkpoint.json"
-    raw = sample_checkpoint().to_dict()
+    raw = asdict(sample_checkpoint())
     del raw["pool"]
     path.write_text(json.dumps(raw))
     with pytest.raises(CorruptStateError, match="pool"):
@@ -332,7 +334,7 @@ def test_checkpoint_missing_field_is_named(tmp_path):
 
 def test_checkpoint_bad_iteration_type(tmp_path):
     path = tmp_path / "checkpoint.json"
-    raw = sample_checkpoint().to_dict()
+    raw = asdict(sample_checkpoint())
     raw["iteration"] = "two"
     path.write_text(json.dumps(raw))
     with pytest.raises(CorruptStateError, match="iteration"):
@@ -341,10 +343,25 @@ def test_checkpoint_bad_iteration_type(tmp_path):
 
 def test_checkpoint_wrong_schema_version(tmp_path):
     path = tmp_path / "checkpoint.json"
-    raw = sample_checkpoint().to_dict()
+    raw = asdict(sample_checkpoint())
     raw["schema_version"] = 99
     path.write_text(json.dumps(raw))
     with pytest.raises(CorruptStateError, match="schema_version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("version,pool", [
+    (3, {"entries": []}),
+    (3, ["it0001_slot00", 7]),
+    (2, ["it0001_slot00"]),
+    (2, {"entries": [{"slot": 0, "score": 0.5}]}),
+    (1, {"entries": ["it0001_slot00"]}),
+])
+def test_checkpoint_malformed_pool(tmp_path, version, pool):
+    path = tmp_path / "checkpoint.json"
+    raw = {**asdict(sample_checkpoint()), "schema_version": version, "pool": pool}
+    path.write_text(json.dumps(raw))
+    with pytest.raises(CorruptStateError, match="pool"):
         load_checkpoint(path)
 
 
@@ -391,8 +408,7 @@ def test_store_path_formats(tmp_path):
 
 def test_store_archive_and_resolve_round_trip(tmp_path):
     store = RunStore.create(tmp_path / "run")
-    ws = build_tree(tmp_path / "ws", {"solution/a.py": "a"})
-    ref = store.archive_run(ws, verified_outcome(0.7), "initial", [], 1, 0)
+    ref = store.archive_run(verified_outcome(0.7), "initial", [], 1, 0)
     assert ref.id == "it0001_slot00"
     resolved = store.resolve_archive("it0001_slot00")
     assert resolved == ref
@@ -404,8 +420,7 @@ def test_store_resolve_detects_deleted_archive(tmp_path):
     import shutil
 
     store = RunStore.create(tmp_path / "run")
-    ws = build_tree(tmp_path / "ws", {"x": "x"})
-    ref = store.archive_run(ws, verified_outcome(), "initial", [], 1, 0)
+    ref = store.archive_run(verified_outcome(), "initial", [], 1, 0)
     shutil.rmtree(ref.path)
     with pytest.raises(CorruptStateError):
         store.resolve_archive(ref.id)
@@ -414,8 +429,7 @@ def test_store_resolve_detects_deleted_archive(tmp_path):
 def test_store_prune_removes_later_iterations_only(tmp_path):
     store = RunStore.create(tmp_path / "run")
     for iteration in (1, 2, 3):
-        ws = build_tree(tmp_path / f"ws{iteration}", {"x": "x"})
-        store.archive_run(ws, verified_outcome(), "initial", [], iteration, 0)
+        store.archive_run(verified_outcome(), "initial", [], iteration, 0)
         store.workspace_path(iteration, 0).mkdir(parents=True)
     store.prune_after_iteration(1)
     assert store.resolve_archive("it0001_slot00")
@@ -430,8 +444,7 @@ def test_store_prune_removes_later_iterations_only(tmp_path):
 
 def test_store_prune_leaves_unparsable_entries(tmp_path):
     store = RunStore.create(tmp_path / "run")
-    ws = build_tree(tmp_path / "ws", {"x": "x"})
-    store.archive_run(ws, verified_outcome(), "initial", [], 2, 0)
+    store.archive_run(verified_outcome(), "initial", [], 2, 0)
     strays = [store.workspaces_dir / "iter_notes", store.archives_dir / "notes"]
     for stray in strays:
         build_tree(stray, {"keep.txt": "keep"})
@@ -443,8 +456,7 @@ def test_store_prune_leaves_unparsable_entries(tmp_path):
 
 def test_store_resolve_reads_manifest_not_stored_path(tmp_path):
     store = RunStore.create(tmp_path / "run")
-    ws = build_tree(tmp_path / "ws", {"x": "x"})
-    store.archive_run(ws, verified_outcome(0.7), "initial", [], 1, 0)
+    store.archive_run(verified_outcome(0.7), "initial", [], 1, 0)
     moved = RunStore((tmp_path / "run").rename(tmp_path / "moved"))
     assert moved.resolve_archive("it0001_slot00").path == moved.archives_dir / "it0001_slot00"
     (moved.archives_dir / "it0001_slot00" / "manifest.json").write_text("{mangled")
