@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 from . import compression, reporting
-from .config import load_config, read_json_object
+from .config import load_config, parse_bool, read_json_object
 from .engine import EvolutionEngine
 from .errors import ConfigurationError, CorruptStateError, SeedevoError
 from .events import read_events
@@ -39,13 +39,17 @@ def _config_overrides(args: argparse.Namespace) -> dict:
         "executor": "executor",
         "data": "data_path",
         "mount_data": "data_provisioning",
-        "higher_is_better": "higher_is_better",
         "num_training_runs": "num_training_runs",
     }
     for flag, key in mapping.items():
         value = getattr(args, flag, None)
         if value is not None:
             overrides[key] = value
+    if getattr(args, "higher_is_better", None) is not None:
+        try:
+            overrides["higher_is_better"] = parse_bool(args.higher_is_better)
+        except ValueError as exc:
+            raise ConfigurationError("higher_is_better", str(exc)) from exc
     if getattr(args, "external_command", None):
         overrides["external_command"] = args.external_command
         overrides["executor"] = "external"
@@ -75,7 +79,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--higher-is-better",
         dest="higher_is_better",
-        type=lambda v: v.lower() in ("1", "true", "yes"),
         metavar="{true,false}",
     )
     p.add_argument("--num-training-runs", dest="num_training_runs", type=int)
@@ -231,10 +234,13 @@ def cmd_compress(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigurationError("budget", str(exc)) from exc
     try:
+        summarizer = compression.head_fraction_summarizer(args.summary_fraction)
+    except ValueError as exc:
+        raise ConfigurationError("summary_fraction", str(exc)) from exc
+    try:
         history = compression.load_transcript(args.transcript)
     except (OSError, ValueError) as exc:
         raise ConfigurationError("transcript", str(exc)) from exc
-    summarizer = compression.head_fraction_summarizer(args.summary_fraction)
     compression.compress_pending(history, summarizer, budget)
     groups = compression.group_messages(history)
     result = compression.select_statuses(history, groups, budget)

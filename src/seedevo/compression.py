@@ -1,24 +1,29 @@
 """Two-stage context compression for long agent transcripts.
 
-Stage one summarizes pending messages into a compressed cache (short
-messages are copied through; a summary is only kept when it is
-actually shorter).  Stage two picks a rendering status per message
-group to fit a token target: a sliding window drops the oldest groups
-outright, the newest groups are pinned to their original text, and the
-rest degrade oldest-first through original -> compressed -> truncated
--> dropped until the reconstructed context fits.
+Stage one summarizes the pending messages of the newest window_groups
+groups into a compressed cache (short messages are copied through; a
+summary is only kept when it is actually shorter).  Stage two picks a
+rendering status per message group to fit a token target: a sliding
+window drops the oldest groups outright, the newest groups are pinned
+to their original text, and the rest degrade oldest-first through
+original -> compressed -> truncated -> dropped until the reconstructed
+context fits.  Groups outside the window are never rendered, so neither
+stage summarizes or counts them: the work follows the window, not the
+transcript.
 
 Token counting is pluggable.  The default segments on whitespace and
 punctuation, which is deterministic and dependency-free; any callable
-str -> int (for example a real BPE tokenizer) can be swapped in.
+str -> int (for example a real BPE tokenizer) can be swapped in.  A
+message's count is taken on first use and cached on the message.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable
@@ -58,14 +63,15 @@ class SelectionStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Message:
-    """One transcript entry. token_count always reflects the configured
-    counter applied to the text plus any tool-call arguments."""
+    """One transcript entry.  token_count is the configured counter
+    applied to the text plus any tool-call arguments, taken on first use
+    and cached on the message."""
 
     id: int
     role: str
     text: str
     tool_call_args: dict[str, str] | None
-    token_count: int
+    counter: TokenCounter = field(compare=False, repr=False)
 
     @classmethod
     def create(
@@ -83,8 +89,12 @@ class Message:
             role=role,
             text=text,
             tool_call_args=dict(tool_call_args) if tool_call_args else None,
-            token_count=_payload_tokens(text, tool_call_args, counter),
+            counter=counter,
         )
+
+    @functools.cached_property
+    def token_count(self) -> int:
+        return _payload_tokens(self.text, self.tool_call_args, self.counter)
 
     @property
     def is_tool_call(self) -> bool:
@@ -132,6 +142,8 @@ class BudgetConfig:
             raise ValueError("target_tokens must be below trigger_tokens")
         if self.recent_groups_protected > self.window_groups:
             raise ValueError("recent_groups_protected cannot exceed window_groups")
+        if self.recent_groups_protected < 0:
+            raise ValueError("recent_groups_protected must be >= 0")
         for name in ("trigger_tokens", "target_tokens", "window_groups"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -170,63 +182,65 @@ class MessageHistory:
         return [m.id for m in self.messages if m.id not in self.cache]
 
 
+def _partition(messages: list[Message]) -> tuple[list[list[int]], list[int]]:
+    """The grouping rule, without side effects: the member ids of each
+    group in order, and the ids of the orphan tool messages.
+
+    An AI message carrying tool-call args absorbs the run of tool
+    messages that follows it; every other message stands alone.
+    """
+    members: list[list[int]] = []
+    orphans: list[int] = []
+    absorbing = False
+    for msg in messages:
+        if msg.role == "tool":
+            if absorbing:
+                members[-1].append(msg.id)
+                continue
+            orphans.append(msg.id)
+        members.append([msg.id])
+        absorbing = msg.is_tool_call
+    return members, orphans
+
+
 def group_messages(history: MessageHistory) -> list[MessageGroup]:
     """Partition the transcript into atomic groups, in order.
 
-    An AI message carrying tool-call args absorbs the run of tool
-    messages that follows it.  A tool message with no such predecessor
-    is malformed input; it becomes its own group with a diagnostic.
+    A tool message with no tool call before it is malformed input; it
+    becomes its own group with a diagnostic.
     """
-    groups: list[MessageGroup] = []
-    members: list[int] = []
-    absorbing = False
-
-    def flush():
-        nonlocal members, absorbing
-        if members:
-            groups.append(MessageGroup(member_ids=tuple(members)))
-        members = []
-        absorbing = False
-
-    for msg in history.messages:
-        if msg.role == "tool":
-            if absorbing:
-                members.append(msg.id)
-            else:
-                history.diagnostics.append(f"orphan tool message {msg.id}")
-                flush()
-                members = [msg.id]
-                flush()
-            continue
-        flush()
-        members = [msg.id]
-        absorbing = msg.is_tool_call
-        if not absorbing:
-            flush()
-    flush()
-    return groups
+    members, orphans = _partition(history.messages)
+    history.diagnostics.extend(f"orphan tool message {mid}" for mid in orphans)
+    return [MessageGroup(member_ids=tuple(ids)) for ids in members]
 
 
 def compress_pending(
     history: MessageHistory, summarizer: Summarizer, budget: BudgetConfig
 ) -> list[str]:
-    """Stage one: fill the compressed cache for every pending message.
+    """Stage one: fill the compressed cache for the pending messages of
+    the newest window_groups groups.
 
-    Messages under min_compress_tokens are copied through verbatim.
-    Longer ones get a summary, kept only if strictly shorter; long
-    tool-call argument values are summarized per key under the same
-    rule.  A summarizer failure leaves its message pending and is
-    reported, not raised.
+    Selection drops every older group outright, so those messages are
+    neither summarized nor counted; they stay pending.  Messages under
+    min_compress_tokens are copied through verbatim.  Longer ones get a
+    summary, kept only if strictly shorter; long tool-call argument
+    values are summarized per key under the same rule.  A summarizer
+    failure inside the window leaves its message pending and is
+    reported, not raised; outside the window nothing is attempted, so
+    nothing is reported.
     """
+    members, _ = _partition(history.messages)
     diagnostics: list[str] = []
-    for msg_id in history.pending_ids():
-        msg = history.get(msg_id)
-        try:
-            form = _compress_one(msg, summarizer, budget, history.counter)
-        except Exception as exc:
-            diagnostics.append(f"summarizer failed on {msg_id}: {exc}")
-            continue
-        history.cache[msg_id] = form
+    for ids in members[-budget.window_groups:]:
+        for msg_id in ids:
+            if msg_id in history.cache:
+                continue
+            try:
+                form = _compress_one(history.get(msg_id), summarizer, budget, history.counter)
+            except Exception as exc:
+                diagnostics.append(f"summarizer failed on {msg_id}: {exc}")
+                continue
+            history.cache[msg_id] = form
     history.diagnostics.extend(diagnostics)
     return diagnostics
 

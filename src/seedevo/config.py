@@ -169,6 +169,18 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def parse_bool(text: str) -> bool:
+    """1/true/yes or 0/false/no, in any case; anything else is a
+    ValueError rather than a silent false."""
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}") from None
+
+
 # environment variable -> (config key, parser); probability maps get
 # dedicated per-operator variables in the style of the runtime they wrap
 _ENV_SCALARS = {
@@ -181,7 +193,7 @@ _ENV_SCALARS = {
     "GA_THRESHOLD": ("improvement_threshold", float),
     "GA_CONTINUE_PARENTS_MAX": ("continue_parents_max", int),
     "NUM_TRAINING_RUNS": ("num_training_runs", int),
-    "GA_HIGHER_IS_BETTER": ("higher_is_better", lambda v: v.lower() in ("1", "true", "yes")),
+    "GA_HIGHER_IS_BETTER": ("higher_is_better", parse_bool),
     "GA_SEED": ("master_seed", int),
     "GA_EXECUTOR": ("executor", str),
     "GA_DATA": ("data_path", str),

@@ -141,10 +141,15 @@ class SimModelParams:
             raise ConfigurationError(sorted(unknown)[0], "unknown simulator parameter")
 
         def number(key: str, value) -> float:
-            try:
-                return float(value)
-            except (TypeError, ValueError):
-                raise ConfigurationError(key, f"must be a number, got {value!r}") from None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigurationError(key, f"must be a number, got {value!r}")
+            return float(value)
+
+        def typed(key: str, default, kind: type, what: str):
+            value = raw.get(key, default)
+            if not isinstance(value, kind):
+                raise ConfigurationError(key, f"must be {what}, got {value!r}")
+            return value
 
         def op_map(key: str, base: dict) -> dict:
             entries = raw.get(key, {})
@@ -159,7 +164,7 @@ class SimModelParams:
             return merged
 
         return cls(
-            direction=MetricDirection(bool(raw.get("higher_is_better", True))),
+            direction=MetricDirection(typed("higher_is_better", True, bool, "true or false")),
             base_mean=number("base_mean", raw.get("base_mean", defaults.base_mean)),
             base_sd=number("base_sd", raw.get("base_sd", defaults.base_sd)),
             gain_mean=op_map("gain_mean", defaults.gain_mean),
@@ -168,7 +173,7 @@ class SimModelParams:
             experiment_spread=number(
                 "experiment_spread", raw.get("experiment_spread", defaults.experiment_spread)
             ),
-            metric=str(raw.get("metric", defaults.metric)),
+            metric=typed("metric", defaults.metric, str, "a string"),
         )
 
 

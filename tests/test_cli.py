@@ -102,6 +102,11 @@ BAD_SIM_PARAMS = [
     ({"gain_mean": {"bogus": 0.1}}, "gain_mean.bogus"),
     ({"gain_sd": {"merge": None}}, "gain_sd.merge"),
     ({"failure_prob": 0.1}, "failure_prob"),
+    ({"higher_is_better": "false"}, "higher_is_better"),
+    ({"higher_is_better": 0}, "higher_is_better"),
+    ({"metric": 5}, "metric"),
+    ({"base_sd": "0.1"}, "base_sd"),
+    ({"gain_mean": {"merge": True}}, "gain_mean.merge"),
 ]
 
 
@@ -144,6 +149,30 @@ def test_config_value_of_wrong_type_exits_1_or_3(tmp_path, capsys, values, field
     capsys.readouterr()
     assert main(["resume", "--output", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"corrupt state: run_config.json: {field}:")
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False)],
+)
+def test_higher_is_better_flag_and_env_accept_booleans(tmp_path, capsys, monkeypatch,
+                                                       value, expected):
+    assert main(["run", "--output", str(tmp_path / "a"), "--print-config",
+                 "--higher-is-better", value]) == 0
+    assert json.loads(capsys.readouterr().out)["higher_is_better"] is expected
+    monkeypatch.setenv("GA_HIGHER_IS_BETTER", value)
+    assert main(["run", "--output", str(tmp_path / "b"), "--print-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["higher_is_better"] is expected
+
+
+@pytest.mark.parametrize("value", ["treu", "ture", "", "on", "2"])
+def test_misspelled_higher_is_better_exits_1(tmp_path, capsys, monkeypatch, value):
+    assert main(["run", "--output", str(tmp_path / "a"), "--print-config",
+                 "--higher-is-better", value]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: higher_is_better:")
+    monkeypatch.setenv("GA_HIGHER_IS_BETTER", value)
+    assert main(["run", "--output", str(tmp_path / "b"), "--print-config"]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: higher_is_better:")
 
 
 # -- resume ----------------------------------------------------------
@@ -411,6 +440,23 @@ def test_compress_rejects_bad_budget(tmp_path, capsys):
                  "--target-tokens", "1000", "--trigger-tokens", "500"])
     assert code == 1
     assert "budget" in capsys.readouterr().err
+
+
+#: `seedevo compress` flags that must exit 1, with the field each error names.
+BAD_COMPRESS_FLAGS = [
+    (["--summary-fraction", "0"], "summary_fraction"),
+    (["--protected-groups", "-3"], "budget"),
+]
+
+
+@pytest.mark.parametrize("flags, field", BAD_COMPRESS_FLAGS)
+def test_compress_bad_flag_exits_1(tmp_path, capsys, flags, field):
+    transcript = tmp_path / "t.jsonl"
+    write_transcript(transcript, n_long=1)
+    rendered = tmp_path / "r.jsonl"
+    assert main(["compress", str(transcript), "--rendered", str(rendered), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"configuration error: {field}:")
+    assert not rendered.exists()
 
 
 def test_compress_missing_transcript_exits_1(tmp_path, capsys):

@@ -28,6 +28,7 @@ from seedevo.compression import (
     truncate_text,
     write_rendered_context,
     write_selection_sidecar,
+    _payload_tokens,
 )
 
 #: Frozen counts from the default counter, recorded once by hand.
@@ -53,6 +54,20 @@ def small_budget(**overrides) -> BudgetConfig:
 
 def words(n: int, stem: str = "w") -> str:
     return " ".join(f"{stem}{i}" for i in range(n))
+
+
+class CountingCounter:
+    """The default counter, counting its calls and keeping what it
+    counted."""
+
+    def __init__(self):
+        self.calls = 0
+        self.texts: list[str] = []
+
+    def __call__(self, text: str) -> int:
+        self.calls += 1
+        self.texts.append(text)
+        return count_tokens(text)
 
 
 # -- token counting and truncation -----------------------------------
@@ -103,6 +118,18 @@ def test_message_token_count_includes_args():
     # text 3 + key 1 + value 2
     assert msg.token_count == 6
     assert msg.is_tool_call
+
+
+@pytest.mark.parametrize("args", [None, {"sql": "select 1", "limit": "10 rows"}])
+def test_message_token_count_is_taken_once_on_first_use(args):
+    counter = CountingCounter()
+    msg = Message.create(0, "ai", "run the query, please", args, counter)
+    assert counter.calls == 0
+    assert msg.token_count == _payload_tokens(msg.text, args, count_tokens)
+    pieces = counter.calls
+    assert pieces == 1 + 2 * len(args or {})
+    assert msg.token_count == _payload_tokens(msg.text, args, count_tokens)
+    assert counter.calls == pieces
 
 
 def test_message_without_args_is_not_tool_call():
@@ -239,6 +266,78 @@ def test_compress_cache_never_longer_than_original():
     compress_pending(history, word_head_summarizer(0.3), small_budget())
     for msg in history.messages:
         assert history.cache[msg.id].token_count <= msg.token_count
+
+
+def windowed_history(counter, n_groups: int = 60) -> MessageHistory:
+    """n_groups groups, every text over the compression floor; each word
+    starts with g<group>_, so a counted or summarized text names its group."""
+    history = MessageHistory(counter)
+    for g in range(n_groups):
+        if g % 4 == 3:
+            history.add("ai", words(60, f"g{g}_a"), {"k": words(70, f"g{g}_v")})
+            history.add("tool", words(80, f"g{g}_t"))
+        else:
+            history.add("human", words(90, f"g{g}_h"))
+    return history
+
+
+def group_of(text: str) -> int:
+    return int(text.split("_", 1)[0][1:])
+
+
+def test_compress_summarizes_and_counts_only_the_window():
+    counter = CountingCounter()
+    history = windowed_history(counter)
+    summarized: list[str] = []
+
+    def summarizer(text):
+        summarized.append(text)
+        return text[: len(text) // 4]
+
+    budget = small_budget(window_groups=10)
+    compress_pending(history, summarizer, budget)
+    window = {mid for g in group_messages(history)[-10:] for mid in g.member_ids}
+    # each window message's text, plus its argument value, summarized once
+    window_msgs = [history.get(mid) for mid in sorted(window)]
+    arg_values = [v for m in window_msgs for v in (m.tool_call_args or {}).values()]
+    assert sorted(summarized) == sorted([m.text for m in window_msgs] + arg_values)
+    assert {group_of(t) for t in counter.texts if t != "k"} <= set(range(50, 60))
+    assert set(history.cache) == window
+
+
+def test_compress_out_of_window_messages_stay_pending_and_unreported():
+    history = windowed_history(count_tokens, n_groups=30)
+    outside = history.messages[0].id  # group 0
+    inside = history.messages[-1].id  # the newest group
+
+    def fragile(text):
+        if text.startswith(("g0_", "g29_")):
+            raise RuntimeError("model refused")
+        return text[: len(text) // 2]
+
+    diags = compress_pending(history, fragile, small_budget(window_groups=5))
+    pending = history.pending_ids()
+    assert outside in pending and inside in pending
+    assert [m.id for m in history.messages if m.id not in history.cache] == pending
+    assert diags == [f"summarizer failed on {inside}: model refused"]
+    assert history.diagnostics == diags
+    groups = group_messages(history)
+    assert set(pending) - {inside} == {mid for g in groups[:-5] for mid in g.member_ids}
+
+
+def test_compress_orphan_at_window_edge_reported_once():
+    history = MessageHistory()
+    for i in range(6):
+        history.add("human", words(60, f"h{i}_"))
+    orphan = history.add("tool", words(60, "orphan"))
+    for i in range(3):
+        history.add("human", words(60, f"n{i}_"))
+    budget = small_budget(window_groups=4, recent_groups_protected=1)
+    compress_pending(history, word_head_summarizer(0.5), budget)
+    groups = group_messages(history)
+    assert groups[-4].member_ids == (orphan.id,)
+    assert orphan.id in history.cache
+    assert history.diagnostics == [f"orphan tool message {orphan.id}"]
 
 
 # -- stage two: selection --------------------------------------------
@@ -422,7 +521,7 @@ def compressed_transcripts(draw):
     """
     history = MessageHistory(draw(st.sampled_from([count_tokens, len])))
     sizes = st.integers(1, 120)
-    n_groups = draw(st.integers(1, 30))
+    n_groups = draw(st.integers(1, 60))
     for g in range(n_groups):
         kind = draw(st.sampled_from(["human", "ai", "system", "tool_call", "orphan_tool"]))
         if kind == "tool_call":
@@ -440,7 +539,8 @@ def compressed_transcripts(draw):
             raise RuntimeError("summarizer down")
         return " ".join(kept[: max(1, len(kept) // 3)])
 
-    window = draw(st.integers(1, n_groups + 3))
+    # half the draws keep the window under half the transcript
+    window = draw(st.integers(1, max(1, n_groups // 2)) | st.integers(1, n_groups + 3))
     size = sum(m.token_count for m in history.messages)
     target = max(1, int(size * draw(st.floats(0.0, 1.2))))
     budget = BudgetConfig(
@@ -466,17 +566,9 @@ def test_selection_matches_oracle_on_generated_transcripts(case):
     assert result.over_budget == want_flag
     rendered = reconstruct_context(history, groups, result.statuses, budget)
     assert rendered_token_total(history, rendered) == result.total_tokens
-
-
-class CountingCounter:
-    """The default counter, counting its calls."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, text: str) -> int:
-        self.calls += 1
-        return count_tokens(text)
+    # stage one left everything outside the window pending
+    window = {mid for g in groups[-budget.window_groups:] for mid in g.member_ids}
+    assert set(history.cache) <= window
 
 
 def test_counter_calls_stay_linear_however_many_moves(tmp_path):
@@ -492,7 +584,7 @@ def test_counter_calls_stay_linear_however_many_moves(tmp_path):
     counter = CountingCounter()
     history = load_transcript(path, counter)
     compress_pending(history, word_head_summarizer(0.4), budget)
-    # one count when loaded, one for the summary
+    # one count of each message, one for its summary
     assert counter.calls <= 2 * n
     groups = group_messages(history)
     counter.calls = 0
