@@ -63,9 +63,10 @@ class SelectionStatus(str, Enum):
 
 @dataclass(frozen=True)
 class Message:
-    """One transcript entry.  token_count is the configured counter
-    applied to the text plus any tool-call arguments, taken on first use
-    and cached on the message."""
+    """One transcript entry; create copies the tool-call arguments with
+    their keys and values as strings.  token_count is the configured
+    counter applied to the text plus any tool-call keys and values; each
+    piece is counted on first use and its count cached on the message."""
 
     id: int
     role: str
@@ -84,17 +85,24 @@ class Message:
     ) -> "Message":
         if role not in ROLES:
             raise ValueError(f"unknown role {role!r}")
-        return cls(
-            id=id,
-            role=role,
-            text=text,
-            tool_call_args=dict(tool_call_args) if tool_call_args else None,
-            counter=counter,
-        )
+        args = {str(k): str(v) for k, v in tool_call_args.items()} if tool_call_args else None
+        return cls(id, role, text, args, counter)
 
     @functools.cached_property
+    def _piece_tokens(self) -> tuple[int, ...]:
+        """The counts of the text, then of each tool-call key and value
+        in argument order."""
+        counter = self.counter
+        pieces = [counter(self.text)]
+        for key, value in (self.tool_call_args or {}).items():
+            pieces += (counter(key), counter(value))
+        return tuple(pieces)
+
+    @property
     def token_count(self) -> int:
-        return _payload_tokens(self.text, self.tool_call_args, self.counter)
+        # not cached itself: a second cached entry would grow every
+        # message's attribute dict
+        return sum(self._piece_tokens)
 
     @property
     def is_tool_call(self) -> bool:
@@ -168,6 +176,9 @@ class MessageHistory:
         id: int | None = None,
     ) -> Message:
         msg_id = id if id is not None else len(self.messages)
+        # exact type: a bool is an int, but would render as true/false
+        if type(msg_id) is not int:
+            raise ValueError("id must be an integer")
         if msg_id in self._positions:
             raise ValueError(f"duplicate message id {msg_id!r}")
         msg = Message.create(msg_id, role, text, tool_call_args, self.counter)
@@ -256,17 +267,18 @@ def _compress_one(
         candidate_tokens = counter(candidate)
         return (candidate, candidate_tokens) if candidate_tokens < tokens else (text, tokens)
 
-    # without args a message's token_count is its text's count
-    text, total = shorter(msg.text, counter(msg.text) if msg.tool_call_args else msg.token_count)
+    text_tokens, *arg_tokens = msg._piece_tokens
+    text, total = shorter(msg.text, text_tokens)
     args = None
     if msg.tool_call_args is not None:
         args = {}
-        for key, value in msg.tool_call_args.items():
-            value_tokens = counter(value)
+        for (key, value), key_tokens, value_tokens in zip(
+            msg.tool_call_args.items(), arg_tokens[::2], arg_tokens[1::2]
+        ):
             if value_tokens >= budget.min_compress_tokens:
                 value, value_tokens = shorter(value, value_tokens)
             args[key] = value
-            total += counter(key) + value_tokens
+            total += key_tokens + value_tokens
     return CompressedForm(text, args, total)
 
 
@@ -416,10 +428,25 @@ def head_fraction_summarizer(fraction: float = 0.1) -> Summarizer:
 
 # -- transcript files -------------------------------------------------
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _parse_line(line: str) -> object:
+    """json.loads(line).  A line that is one valid value with nothing
+    around it skips the whitespace scans and BOM check of json.loads."""
+    try:
+        raw, end = _raw_decode(line)
+        if end == len(line):
+            return raw
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)  # its value, or json's own error for the line
+
 
 def load_transcript(path: Path, counter: TokenCounter = count_tokens) -> MessageHistory:
     """Read a JSONL transcript: one object per line with role, text,
-    optional tool_call_args and id."""
+    optional tool_call_args and integer id.  Every error names its
+    <path>:<line>."""
     history = MessageHistory(counter)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -427,39 +454,58 @@ def load_transcript(path: Path, counter: TokenCounter = count_tokens) -> Message
             if not line:
                 continue
             try:
-                raw = json.loads(line)
+                raw = _parse_line(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(raw, dict) or "role" not in raw or "text" not in raw:
+            # json.loads builds plain dicts and strs, so exact types suffice
+            if type(raw) is not dict or "role" not in raw or "text" not in raw:
                 raise ValueError(f"{path}:{lineno}: need role and text fields")
-            if not isinstance(raw["text"], str):
+            if type(raw["text"]) is not str:
                 raise ValueError(f"{path}:{lineno}: text must be a string")
             args = raw.get("tool_call_args")
-            if args is not None:
-                if not isinstance(args, dict):
-                    raise ValueError(f"{path}:{lineno}: tool_call_args must be an object")
-                args = {str(k): str(v) for k, v in args.items()}
-            msg_id = raw.get("id")
-            if msg_id is not None and not isinstance(msg_id, int):
-                raise ValueError(f"{path}:{lineno}: id must be an integer")
-            history.add(raw["role"], raw["text"], args, id=msg_id)
+            if args is not None and type(args) is not dict:
+                raise ValueError(f"{path}:{lineno}: tool_call_args must be an object")
+            try:
+                history.add(raw["role"], raw["text"], args, raw.get("id"))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return history
+
+
+_SIDECAR_ROW = """\
+    {
+      "index": %d,
+      "member_ids": %s,
+      "status": "%s"
+    }"""
 
 
 def write_selection_sidecar(
     path: Path, groups: list[MessageGroup], result: SelectionResult
 ) -> None:
-    payload = {
-        "schema_version": 1,
-        "over_budget": result.over_budget,
-        "total_tokens": result.total_tokens,
-        "groups": [
-            {"index": i, "member_ids": list(g.member_ids), "status": s.value}
-            for i, (g, s) in enumerate(zip(groups, result.statuses))
-        ],
-    }
+    """Write the selection plan.  The file holds exactly the bytes of
+
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    for payload = {"schema_version": 1, "over_budget": ..., "total_tokens":
+    ..., "groups": [{"index": i, "member_ids": [...], "status": ...}, ...]}.
+    It is formatted directly because json runs every indented dump
+    through its pure-Python encoder.  Member ids are exact ints (the only
+    ids MessageHistory.add admits) and statuses are SelectionStatus
+    values, so nothing needs escaping.
+    """
+    rows = []
+    for i, (group, status) in enumerate(zip(groups, result.statuses)):
+        ids = ",\n        ".join(map(str, group.member_ids))
+        members = f"[\n        {ids}\n      ]" if ids else "[]"
+        rows.append(_SIDECAR_ROW % (i, members, status.value))
+    groups_text = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
     Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        f'{{\n  "groups": {groups_text},\n'
+        f'  "over_budget": {json.dumps(result.over_budget)},\n'
+        f'  "schema_version": 1,\n'
+        f'  "total_tokens": {json.dumps(result.total_tokens)}\n}}\n',
+        encoding="utf-8",
     )
 
 

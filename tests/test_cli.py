@@ -414,6 +414,18 @@ def test_compress_rejects_bad_transcript(tmp_path, capsys):
     assert "transcript" in capsys.readouterr().err
 
 
+def compress_second_line_error(tmp_path, capsys, row) -> str:
+    """Compress a transcript whose second line is row; it must exit 1
+    with a transcript error, which is returned."""
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(json.dumps({"role": "system", "text": "ok"}) + "\n" + json.dumps(row) + "\n")
+    code = main(["compress", str(transcript), "--rendered", str(tmp_path / "r.jsonl")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: transcript:")
+    return err
+
+
 @pytest.mark.parametrize(
     "row, field",
     [
@@ -421,16 +433,24 @@ def test_compress_rejects_bad_transcript(tmp_path, capsys):
         ({"role": "ai", "text": "x", "tool_call_args": ["k", "v"]}, "tool_call_args"),
         ({"role": "human", "text": 5}, "text"),
         ({"role": "human", "text": None}, "text"),
+        ({"role": "human", "text": "hi there", "id": True}, "id"),
     ],
 )
 def test_compress_rejects_malformed_fields(tmp_path, capsys, row, field):
-    transcript = tmp_path / "t.jsonl"
-    transcript.write_text(json.dumps({"role": "system", "text": "ok"}) + "\n" + json.dumps(row) + "\n")
-    code = main(["compress", str(transcript), "--rendered", str(tmp_path / "r.jsonl")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: transcript:")
+    err = compress_second_line_error(tmp_path, capsys, row)
     assert f"t.jsonl:2: {field} must be" in err
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ({"role": "robot", "text": "beep"}, "unknown role 'robot'"),
+        ({"role": "human", "text": "again", "id": 0}, "duplicate message id 0"),
+    ],
+)
+def test_compress_rejected_message_names_its_line(tmp_path, capsys, row, error):
+    err = compress_second_line_error(tmp_path, capsys, row)
+    assert f"t.jsonl:2: {error}" in err
 
 
 def test_compress_rejects_bad_budget(tmp_path, capsys):

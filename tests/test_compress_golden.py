@@ -3,12 +3,13 @@
 tests/data/compress_golden.jsonl is a generated transcript of 120
 groups: long tool-call arguments, an orphan tool message on each side
 of the default 50-group window, and texts that straddle the 50-token
-compression floor and the 64-token truncation head.  The expected
-rendered context, selection sidecar and stdout next to it were written
-by the CLI and are compared byte for byte, so any change to what the
-compressor outputs shows up here.
+compression floor and the 64-token truncation head.  For each case in
+CASES, the expected rendered context, selection sidecar and stdout next
+to it were written by the CLI and are compared byte for byte, so any
+change to what the compressor outputs shows up here.
 
-Regenerate all four files (only when an output change is intended):
+Regenerate the transcript and every expected file (only when an output
+change is intended):
 
     PYTHONPATH=src python tests/test_compress_golden.py
 """
@@ -25,12 +26,15 @@ from seedevo.cli import main
 
 DATA = Path(__file__).parent / "data"
 TRANSCRIPT = DATA / "compress_golden.jsonl"
-EXPECTED_RENDERED = DATA / "compress_golden.rendered.jsonl"
-EXPECTED_PLAN = DATA / "compress_golden.plan.json"
-EXPECTED_STDOUT = DATA / "compress_golden.stdout"
-#: Default window, protection and summary fraction; a target low enough
-#: that the walk compresses, truncates and drops inside the window.
-FLAGS = ("--target-tokens", "1500")
+#: Expected-file prefix -> flags.  Both keep the default window,
+#: protection and summary fraction.  The first target is low enough that
+#: the walk compresses, truncates and drops inside the window; the second
+#: is below what the protected groups alone need, so the sidecar pins
+#: "over_budget": true.
+CASES = {
+    "compress_golden": ("--target-tokens", "1500"),
+    "compress_golden.over_budget": ("--target-tokens", "10"),
+}
 
 GROUPS = 120
 ORPHANS_AT = (30, 95)  # one outside the default window, one inside it
@@ -65,21 +69,33 @@ def transcript_rows(seed: int = 9) -> list[dict]:
     return rows
 
 
-def run_compress(rendered: Path, plan: Path) -> str:
+def expected(case: str, kind: str) -> Path:
+    return DATA / f"{case}.{kind}"
+
+
+def run_compress(case: str, rendered: Path, plan: Path) -> str:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = main(["compress", str(TRANSCRIPT), "--rendered", str(rendered),
-                     "--sidecar", str(plan), *FLAGS])
+                     "--sidecar", str(plan), *CASES[case]])
     assert code == 0
     return stdout.getvalue()
 
 
-def test_compress_outputs_match_golden_bytes(tmp_path):
+def assert_golden(tmp_path: Path, case: str) -> None:
     rendered, plan = tmp_path / "rendered.jsonl", tmp_path / "plan.json"
-    stdout = run_compress(rendered, plan)
-    assert stdout.encode("utf-8") == EXPECTED_STDOUT.read_bytes()
-    assert rendered.read_bytes() == EXPECTED_RENDERED.read_bytes()
-    assert plan.read_bytes() == EXPECTED_PLAN.read_bytes()
+    stdout = run_compress(case, rendered, plan)
+    assert stdout.encode("utf-8") == expected(case, "stdout").read_bytes()
+    assert rendered.read_bytes() == expected(case, "rendered.jsonl").read_bytes()
+    assert plan.read_bytes() == expected(case, "plan.json").read_bytes()
+
+
+def test_compress_outputs_match_golden_bytes(tmp_path):
+    assert_golden(tmp_path, "compress_golden")
+
+
+def test_compress_over_budget_outputs_match_golden_bytes(tmp_path):
+    assert_golden(tmp_path, "compress_golden.over_budget")
 
 
 if __name__ == "__main__":
@@ -87,4 +103,6 @@ if __name__ == "__main__":
         "".join(json.dumps(row, sort_keys=True) + "\n" for row in transcript_rows()),
         encoding="utf-8",
     )
-    EXPECTED_STDOUT.write_text(run_compress(EXPECTED_RENDERED, EXPECTED_PLAN), encoding="utf-8")
+    for case in CASES:
+        stdout = run_compress(case, expected(case, "rendered.jsonl"), expected(case, "plan.json"))
+        expected(case, "stdout").write_text(stdout, encoding="utf-8")

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from oracles import selection_walk_oracle
 from seedevo.compression import (
     BudgetConfig,
     Message,
+    MessageGroup,
     MessageHistory,
+    SelectionResult,
     SelectionStatus,
     compress_pending,
     count_tokens,
@@ -303,6 +307,28 @@ def test_compress_summarizes_and_counts_only_the_window():
     assert sorted(summarized) == sorted([m.text for m in window_msgs] + arg_values)
     assert {group_of(t) for t in counter.texts if t != "k"} <= set(range(50, 60))
     assert set(history.cache) == window
+
+
+def test_compress_counts_each_piece_once():
+    counter = CountingCounter()
+    summarized: list[str] = []
+
+    def summarizer(text):
+        summarized.append(text)
+        return text[: len(text) // 2]
+
+    history = MessageHistory(counter)
+    # text and two values at or above the 50-token floor, one value below
+    args = {"at": words(50, "a"), "above": words(80, "b"), "below": words(49, "c")}
+    msg = history.add("ai", words(60, "t"), args)
+    compress_pending(history, summarizer, small_budget())
+    pieces = 1 + 2 * len(args)
+    assert len(summarized) == 3
+    assert counter.calls == pieces + len(summarized)
+    form = history.cache[msg.id]
+    assert form.tool_call_args["below"] == args["below"]
+    assert form.token_count == _payload_tokens(form.text, form.tool_call_args, count_tokens)
+    assert form.token_count < msg.token_count
 
 
 def test_compress_out_of_window_messages_stay_pending_and_unreported():
@@ -705,6 +731,41 @@ def test_load_transcript_errors_name_the_line(tmp_path):
     path.write_text('{"role": "ai", "text": "x", "id": "nine"}\n')
     with pytest.raises(ValueError, match="integer"):
         load_transcript(path)
+    path.write_text('{"role": "ai", "text": "x", "id": true}\n')
+    with pytest.raises(ValueError, match=":1: id must be an integer"):
+        load_transcript(path)
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.lists(st.integers(min_value=-(2**64), max_value=2**64), max_size=4),
+            st.sampled_from(SelectionStatus),
+        ),
+        max_size=60,
+    ),
+    total=st.integers(min_value=0, max_value=2**64),
+    over_budget=st.booleans(),
+)
+def test_sidecar_bytes_match_indented_json(rows, total, over_budget):
+    groups = [MessageGroup(member_ids=tuple(ids)) for ids, _ in rows]
+    result = SelectionResult(tuple(s for _, s in rows), total, over_budget)
+    payload = {
+        "schema_version": 1,
+        "over_budget": over_budget,
+        "total_tokens": total,
+        "groups": [
+            {"index": i, "member_ids": ids, "status": s.value}
+            for i, (ids, s) in enumerate(rows)
+        ],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        sidecar = Path(tmp) / "plan.json"
+        write_selection_sidecar(sidecar, groups, result)
+        assert sidecar.read_bytes() == (
+            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        ).encode("utf-8")
 
 
 def test_sidecar_and_rendered_files(tmp_path):
