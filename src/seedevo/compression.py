@@ -189,9 +189,6 @@ class MessageHistory:
     def get(self, msg_id: int) -> Message:
         return self.messages[self._positions[msg_id]]
 
-    def pending_ids(self) -> list[int]:
-        return [m.id for m in self.messages if m.id not in self.cache]
-
 
 def _partition(messages: list[Message]) -> tuple[list[list[int]], list[int]]:
     """The grouping rule, without side effects: the member ids of each

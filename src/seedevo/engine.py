@@ -49,37 +49,19 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class EliteEntry:
-    """Best known result for one population slot: a verified run and
-    the archive that records it."""
-
-    slot: int
-    score: float
-    archive: ArchiveRef
-    origin_iteration: int
-    origin_operator: Operator
-    parent_ids: tuple[str, ...] = ()
-
-    @classmethod
-    def from_archive(cls, ref: ArchiveRef) -> "EliteEntry":
-        """The elite an archive records, read from its manifest."""
-        return cls(ref.slot, ref.score, ref, ref.iteration, Operator(ref.operator), ref.parent_ids)
-
-
 class ElitePool:
-    """One entry per slot; a slot is None until a verified run fills it."""
+    """One elite archive per slot; None until a verified run fills it."""
 
     def __init__(self, size: int, direction: MetricDirection):
         if size < 1:
             raise ConfigurationError("population_size", f"must be >= 1, got {size}")
         self.size = size
         self.direction = direction
-        self.entries: list[EliteEntry | None] = [None] * size
+        self.entries: list[ArchiveRef | None] = [None] * size
 
-    def best(self) -> EliteEntry | None:
+    def best(self) -> ArchiveRef | None:
         """Best entry under the pool direction; earliest slot wins ties."""
-        top: EliteEntry | None = None
+        top: ArchiveRef | None = None
         for entry in self.entries:
             if entry is None:
                 continue
@@ -92,10 +74,10 @@ class ElitePool:
         slot; their count must be its size and each archive its slot's."""
         if len(ids) != self.size:
             raise ValueError(f"{len(ids)} pool entries saved, population_size is {self.size}")
-        entries = [EliteEntry.from_archive(resolve(a)) if a else None for a in ids]
+        entries = [resolve(a) if a else None for a in ids]
         for slot, entry in enumerate(entries):
             if entry is not None and entry.slot != slot:
-                raise ValueError(f"slot {slot} holds {entry.archive.id} of slot {entry.slot}")
+                raise ValueError(f"slot {slot} holds {entry.id} of slot {entry.slot}")
         self.entries = entries
 
 
@@ -116,26 +98,6 @@ class AgentSeed:
             raise ConfigurationError("parents", f"merge needs 2 parents, got {len(self.parents)}")
         if self.operator not in (Operator.INITIAL, Operator.MERGE) and len(self.parents) < 1:
             raise ConfigurationError("parents", f"{self.operator} needs at least one parent")
-
-
-@dataclass(frozen=True)
-class TournamentRecord:
-    """Outcome of one slot's 1:1 contest against its previous elite."""
-
-    iteration: int
-    slot: int
-    operator: Operator
-    parent_score: float | None
-    child_score: float | None
-    delta: float | None
-    child_won: bool
-    child_valid: bool
-    child_id: str | None = None
-    parent_ids: tuple[str, ...] = ()
-
-    def to_event(self) -> dict:
-        # vars, not asdict: the fields are flat, and asdict deep-copies
-        return {**vars(self), "type": "tournament", "parent_ids": list(self.parent_ids)}
 
 
 @dataclass(frozen=True)
@@ -178,12 +140,14 @@ def update_stopping(
 
 def select_parents(
     operator: Operator,
-    pool_entries: list[EliteEntry | None],
+    pool_entries: list[ArchiveRef | None],
     slot: int,
     rng: "random.Random",
     continue_max_parents: int = 1,
-) -> list[EliteEntry]:
-    """Pick parent elites for one seed.
+) -> list[ArchiveRef] | None:
+    """Pick parent elites for one seed, or None when the operator has
+    nothing to build on: the slot has no elite yet, or a merge finds no
+    elite in any other slot.
 
     The slot's own elite always comes first.  Merge adds one distinct
     elite drawn uniformly from the other slots; continue adds
@@ -193,12 +157,12 @@ def select_parents(
         return []
     own = pool_entries[slot]
     if own is None:
-        raise ConfigurationError("pool", f"slot {slot} has no elite to build on")
+        return None
     parents = [own]
     others = [e for e in pool_entries if e is not None and e.slot != slot]
     if operator is Operator.MERGE:
         if not others:
-            raise ConfigurationError("pool", "merge found no elite in any other slot")
+            return None
         parents.append(others[rng.randrange(len(others))])
     elif operator is Operator.CONTINUE:
         extra = min(continue_max_parents - 1, len(others))
@@ -208,56 +172,43 @@ def select_parents(
 
 
 def plan_iteration(
-    pool_entries: list[EliteEntry | None],
+    pool_entries: list[ArchiveRef | None],
     hedge_state: HedgeState,
     iteration: int,
     config: RunConfig,
 ) -> list[AgentSeed]:
     """Build one seed per slot for the coming iteration.
 
-    Iteration 1 seeds every slot with a fresh initial task.  Later
-    iterations sample an operator per slot from the allocator, using a
-    random stream derived from (master seed, iteration, slot) so the
-    plan is independent of scheduling and resume points.  A slot with
-    no elite yet replans as initial, as does a merge that finds no
-    elite in any other slot.
+    Each slot samples an operator from the allocator, using a random
+    stream derived from (master seed, iteration, slot) so the plan is
+    independent of scheduling and resume points.  A slot with no elite
+    yet replans as initial, as does a merge that finds no elite in any
+    other slot; so iteration 1, with an empty pool, is all initial.
     """
     context = {"num_training_runs": config.num_training_runs, "iteration": iteration}
-    if iteration == 1:
-        return [
-            AgentSeed(Operator.INITIAL, slot, (), dict(context))
-            for slot in range(config.population_size)
-        ]
     seeds = []
     for slot in range(config.population_size):
         rng = derive_rng(config.master_seed, "plan", iteration, slot)
         op = hedgemod.sample_task(hedge_state, rng)
-        own = pool_entries[slot]
-        if op is not Operator.INITIAL:
-            if own is None:
-                op = Operator.INITIAL
-            elif op is Operator.MERGE and not any(
-                e is not None and e.slot != slot for e in pool_entries
-            ):
-                op = Operator.INITIAL
-        entries = select_parents(op, pool_entries, slot, rng, config.continue_parents_max)
-        seeds.append(
-            AgentSeed(op, slot, tuple(e.archive for e in entries), dict(context))
-        )
+        parents = select_parents(op, pool_entries, slot, rng, config.continue_parents_max)
+        if parents is None:
+            op, parents = Operator.INITIAL, []
+        seeds.append(AgentSeed(op, slot, tuple(parents), dict(context)))
     return seeds
 
 
 def resolve_tournament(
-    candidate: EliteEntry | None,
-    incumbent: EliteEntry | None,
+    candidate: ArchiveRef | None,
+    incumbent: ArchiveRef | None,
     direction: MetricDirection,
     *,
     iteration: int,
     operator: Operator,
     parent_ids: tuple[str, ...] = (),
     slot: int,
-) -> tuple[EliteEntry | None, TournamentRecord]:
-    """Settle one slot: candidate child vs the previous elite.
+) -> tuple[ArchiveRef | None, dict]:
+    """Settle one slot: candidate child vs the previous elite.  Returns
+    the slot's elite and the tournament event that records the contest.
 
     candidate None means the child run produced nothing verifiable; it
     cannot win.  A slot with no incumbent takes any valid child, and an
@@ -275,19 +226,20 @@ def resolve_tournament(
         won = child_valid and better(child_score, parent_score, direction)
     winner = candidate if won else incumbent
 
-    record = TournamentRecord(
-        iteration=iteration,
-        slot=slot,
-        operator=operator,
-        parent_score=parent_score,
-        child_score=child_score,
-        delta=delta,
-        child_won=won,
-        child_valid=child_valid,
-        child_id=candidate.archive.id if child_valid else None,
-        parent_ids=parent_ids,
-    )
-    return winner, record
+    event = {
+        "type": "tournament",
+        "iteration": iteration,
+        "slot": slot,
+        "operator": operator.value,
+        "parent_score": parent_score,
+        "child_score": child_score,
+        "delta": delta,
+        "child_won": won,
+        "child_valid": child_valid,
+        "child_id": candidate.id if child_valid else None,
+        "parent_ids": list(parent_ids),
+    }
+    return winner, event
 
 
 class EvolutionEngine:
@@ -363,13 +315,13 @@ class EvolutionEngine:
         seeds = plan_iteration(previous, self.hedge_state, t, self.config)
         outcomes = self._dispatch(seeds, t)
 
-        records: list[TournamentRecord] = []
+        tournaments: list[dict] = []
         gains: list[ObservedGain] = []
         direction = self.pool.direction
         for seed, outcome in zip(seeds, outcomes):
             candidate = self._admit(seed, outcome, t)
             incumbent = previous[seed.slot]
-            winner, record = resolve_tournament(
+            winner, event = resolve_tournament(
                 candidate,
                 incumbent,
                 direction,
@@ -379,9 +331,9 @@ class EvolutionEngine:
                 slot=seed.slot,
             )
             self.pool.entries[seed.slot] = winner
-            records.append(record)
-            if record.delta is not None:
-                gains.append(ObservedGain(seed.operator, record.delta))
+            tournaments.append(event)
+            if event["delta"] is not None:
+                gains.append(ObservedGain(seed.operator, event["delta"]))
 
         if t > 1:
             self.hedge_state = hedgemod.apply_update(self.hedge_state, gains)
@@ -390,8 +342,8 @@ class EvolutionEngine:
         iteration_best = best.score if best else None
         self.stopping, stop = update_stopping(self.stopping, iteration_best, t, direction)
 
-        for record in records:
-            self.events.append(record.to_event())
+        for event in tournaments:
+            self.events.append(event)
         probs = hedgemod.sampling_probabilities(self.hedge_state)
         self.events.append(
             {
@@ -416,8 +368,8 @@ class EvolutionEngine:
         self._checkpoint()
         return stop
 
-    def run(self) -> EliteEntry | None:
-        """Loop step() to completion and return the best entry."""
+    def run(self) -> ArchiveRef | None:
+        """Loop step() to completion and return the best elite."""
         while not self.stopped:
             self.step()
         return self.pool.best()
@@ -454,25 +406,24 @@ class EvolutionEngine:
         with ThreadPoolExecutor(max_workers=self.config.workers) as tpe:
             return list(tpe.map(run_slot, seeds))
 
-    def _admit(self, seed: AgentSeed, outcome, iteration: int) -> EliteEntry | None:
-        """Archive a verified outcome and shape it into a candidate entry."""
+    def _admit(self, seed: AgentSeed, outcome, iteration: int) -> ArchiveRef | None:
+        """Archive a verified outcome as the slot's candidate elite."""
         if outcome is None or not outcome.verified or outcome.score is None:
             return None
         if not math.isfinite(outcome.score):
             return None
-        archive = self.store.archive_run(
+        return self.store.archive_run(
             outcome=outcome,
-            operator=seed.operator.value,
+            operator=seed.operator,
             parent_ids=[p.id for p in seed.parents],
             iteration=iteration,
             slot=seed.slot,
         )
-        return EliteEntry.from_archive(archive)
 
     def _checkpoint(self) -> None:
         ckpt = Checkpoint(
             iteration=self.iteration,
-            pool=[e.archive.id if e else None for e in self.pool.entries],
+            pool=[e.id if e else None for e in self.pool.entries],
             hedge=self.hedge_state.to_dict(),
             stopping={
                 "best_so_far": self.stopping.best_so_far,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from pathlib import Path
 
 from .errors import CorruptStateError
@@ -22,30 +21,26 @@ def encode_event(event: dict) -> bytes:
 
 
 class EventLog:
-    """Single-writer append log over one JSONL file."""
+    """Append-only JSONL log with one writer: the engine's own thread."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
 
     def append(self, event: dict) -> None:
         data = encode_event(event)
-        with self._lock:
-            with open(self.path, "ab") as fh:
-                fh.write(data)
-                fh.flush()
+        with open(self.path, "ab") as fh:
+            fh.write(data)
+            fh.flush()
 
     def size(self) -> int:
-        with self._lock:
-            return self.path.stat().st_size if self.path.exists() else 0
+        return self.path.stat().st_size if self.path.exists() else 0
 
     def sync(self) -> None:
         """Make every appended event durable.  Called before a
         checkpoint records size(), so that offset never runs past the
         bytes on disk."""
-        with self._lock:
-            with open(self.path, "ab") as fh:
-                os.fsync(fh.fileno())
+        with open(self.path, "ab") as fh:
+            os.fsync(fh.fileno())
 
     def truncate_to(self, offset: int) -> None:
         """Drop any events written after the given byte offset.
@@ -54,21 +49,20 @@ class EventLog:
         iteration that will be replayed.  A log missing or shorter than
         the offset has lost checkpointed events: CorruptStateError.
         """
-        with self._lock:
-            if not self.path.exists():
-                if offset:
-                    raise CorruptStateError(
-                        f"event log missing, cannot keep {offset} bytes: {self.path}"
-                    )
-                return
-            size = self.path.stat().st_size
-            if size < offset:
+        if not self.path.exists():
+            if offset:
                 raise CorruptStateError(
-                    f"event log shorter ({size}) than checkpoint offset ({offset}): {self.path}"
+                    f"event log missing, cannot keep {offset} bytes: {self.path}"
                 )
-            if size > offset:
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(offset)
+            return
+        size = self.path.stat().st_size
+        if size < offset:
+            raise CorruptStateError(
+                f"event log shorter ({size}) than checkpoint offset ({offset}): {self.path}"
+            )
+        if size > offset:
+            with open(self.path, "r+b") as fh:
+                fh.truncate(offset)
 
 
 def read_events(path: Path) -> tuple[list[dict], int]:

@@ -309,8 +309,8 @@ def parse_experiment_results(workspace: Path) -> tuple[tuple[ExperimentRecord, .
 
     Each Experiments/main_training/<run>/results.json must be an object
     with run_name and a finite numeric score; metric and notes ride
-    along when present.  Malformed files are skipped with a diagnostic,
-    never fatal.
+    along when present; the archive stores each as <run_name>.json.
+    Malformed files are skipped with a diagnostic, never fatal.
     """
     results_root = Path(workspace) / RESULTS_SUBDIR
     records: list[ExperimentRecord] = []
@@ -339,6 +339,9 @@ def parse_experiment_results(workspace: Path) -> tuple[tuple[ExperimentRecord, .
         if not isinstance(run_name, str):
             diagnostics[key] = f"run_name not a string: {run_name!r}"
             continue
+        if not _is_file_stem(run_name):
+            diagnostics[key] = f"run_name not usable as a file name: {run_name!r}"
+            continue
         if run_name in seen:
             diagnostics[key] = f"duplicate run_name {run_name!r}"
             continue
@@ -352,6 +355,17 @@ def parse_experiment_results(workspace: Path) -> tuple[tuple[ExperimentRecord, .
             )
         )
     return tuple(records), diagnostics
+
+
+def _is_file_stem(name: str) -> bool:
+    """Whether <name>.json names one file in the archive's experiments
+    directory: no path separator or NUL, valid UTF-8, and its temporary
+    <name>.json.tmp within the 255-byte file name limit."""
+    try:
+        size = len(name.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return "/" not in name and "\0" not in name and size + len(".json.tmp") <= 255
 
 
 def build_executor(config: "RunConfig"):

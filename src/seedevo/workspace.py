@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ArchiveError, CorruptStateError, MaterializationError
+from .operators import Operator
 
 if TYPE_CHECKING:
     from .executors import RunOutcome
@@ -61,13 +62,14 @@ PARENT_DIR_NAME = "Previous Experiments"
 
 @dataclass(frozen=True)
 class ArchiveRef:
-    """Resolvable pointer to an archived run."""
+    """An archived run as its manifest records it: the elite of a slot,
+    or a parent a seed inherits."""
 
     id: str
     path: Path
     score: float
-    operator: str
-    iteration: int
+    origin_operator: Operator
+    origin_iteration: int
     slot: int
     parent_ids: tuple[str, ...] = ()
 
@@ -77,8 +79,8 @@ class ArchiveRef:
             id=manifest["id"],
             path=path,
             score=manifest["score"],
-            operator=manifest["operator"] or "",
-            iteration=manifest["iteration"],
+            origin_operator=Operator(manifest["operator"]),
+            origin_iteration=manifest["iteration"],
             slot=manifest["slot"],
             parent_ids=tuple(manifest["parent_ids"]),
         )
@@ -351,7 +353,7 @@ class RunStore:
     def archive_run(
         self,
         outcome: "RunOutcome",
-        operator: str,
+        operator: Operator,
         parent_ids: list[str],
         iteration: int,
         slot: int,
@@ -360,10 +362,11 @@ class RunStore:
         immutable archive directory.
 
         Captures the per-experiment records, the workspace's solution/
-        and logs/ trees when present, and a manifest tying scores to
-        lineage.  Unverifiable outcomes are rejected.  The workspace and
-        the archive both derive from the (iteration, slot) key, so the
-        collision check refuses a second archive of a workspace.
+        and logs/ trees when present (less any dangling symlink), and a
+        manifest tying scores to lineage.  Unverifiable outcomes are
+        rejected.  The workspace and the archive both derive from the
+        (iteration, slot) key, so the collision check refuses a second
+        archive of a workspace.
         """
         if not outcome.verified:
             raise ArchiveError("refusing to archive an unverified outcome")
@@ -388,7 +391,7 @@ class RunStore:
             src = workspace / sub
             dest = archive_dir / sub
             if src.is_dir():
-                shutil.copytree(src, dest)
+                shutil.copytree(src, dest, ignore_dangling_symlinks=True)
             else:
                 dest.mkdir()
 
@@ -398,7 +401,7 @@ class RunStore:
             "iteration": iteration,
             "slot": slot,
             "score": outcome.score,
-            "operator": operator,
+            "operator": operator.value,
             "parent_ids": list(parent_ids),
             "experiments": [r.run_name for r in outcome.experiments],
             "diagnostics": dict(outcome.diagnostics),

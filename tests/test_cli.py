@@ -4,6 +4,7 @@ documented exit codes."""
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -73,6 +74,37 @@ def test_run_into_existing_output_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(run_args(out)) == 2
     assert "error" in capsys.readouterr().err
+
+
+#: Agent for the run_name test: one usable result and three names the
+#: archive cannot store as <run_name>.json.
+UNSAFE_RUN_NAMES_AGENT = """
+import json, os
+names = ["good", "../../../../escaped", "sub/dir", "x" * 300]
+for i, name in enumerate(names):
+    d = os.path.join("Experiments", "main_training", "run_%d" % i)
+    os.makedirs(d)
+    with open(os.path.join(d, "results.json"), "w") as fh:
+        json.dump({"run_name": name, "score": 0.5 + i / 10}, fh)
+"""
+
+
+def test_run_skips_run_names_unusable_as_file_names(tmp_path, capsys):
+    agent = tmp_path / "agent.py"
+    agent.write_text(UNSAFE_RUN_NAMES_AGENT)
+    data = tmp_path / "data"
+    data.mkdir()
+    out = tmp_path / "deep" / "run"
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["run", "--output", str(out), "--population", "2", "--max-iterations", "1",
+                 "--data", str(data), "--external-command", sys.executable, str(agent)])
+    assert code == 0
+    assert "best score 0.5 " in capsys.readouterr().out
+    outside = [p for p in tmp_path.rglob("*") if out not in p.parents and p != out]
+    assert sorted(outside) == sorted(before + [tmp_path / "deep"])
+    manifest = json.loads((out / "archives" / "it0001_slot00" / "manifest.json").read_text())
+    assert manifest["experiments"] == ["good"]
+    assert set(manifest["diagnostics"]) == {"parse:run_1", "parse:run_2", "parse:run_3"}
 
 
 def test_run_config_file_with_flag_override(tmp_path, capsys):

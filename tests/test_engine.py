@@ -15,11 +15,9 @@ from seedevo.config import RunConfig
 from seedevo.engine import (
     AgentSeed,
     ElitePool,
-    EliteEntry,
     EvolutionEngine,
     MetricDirection,
     StoppingState,
-    TournamentRecord,
     better,
     improvement,
     plan_iteration,
@@ -39,22 +37,31 @@ HIGHER = MetricDirection(True)
 LOWER = MetricDirection(False)
 
 
-def make_ref(archive_id: str, score: float, slot: int = 0) -> ArchiveRef:
+def make_ref(
+    archive_id: str,
+    score: float,
+    slot: int = 0,
+    operator: Op = Op.INITIAL,
+    iteration: int = 1,
+    parent_ids: tuple[str, ...] = (),
+) -> ArchiveRef:
     return ArchiveRef(
         id=archive_id,
         path=Path(f"/nonexistent/{archive_id}"),
         score=score,
-        operator="initial",
-        iteration=1,
+        origin_operator=operator,
+        origin_iteration=iteration,
         slot=slot,
+        parent_ids=parent_ids,
     )
 
 
-def make_entry(slot: int, score: float) -> EliteEntry:
-    return EliteEntry.from_archive(make_ref(f"a{slot}", score, slot))
+def make_entry(slot: int, score: float) -> ArchiveRef:
+    """The elite of one slot: an initial run archived as a{slot}."""
+    return make_ref(f"a{slot}", score, slot)
 
 
-def full_pool(scores: list[float | None]) -> list[EliteEntry | None]:
+def full_pool(scores: list[float | None]) -> list[ArchiveRef | None]:
     """Pool entries from scores; None leaves the slot empty."""
     return [None if s is None else make_entry(i, s) for i, s in enumerate(scores)]
 
@@ -210,16 +217,21 @@ def test_select_parents_continue_capped_by_availability():
     assert [p.slot for p in parents] == [0, 1]
 
 
-def test_select_parents_merge_population_one_errors():
+def test_select_parents_merge_population_one_finds_nothing():
     pool = full_pool([0.5])
-    with pytest.raises(ConfigurationError):
-        select_parents(Op.MERGE, pool, 0, derive_rng(0, "m"))
+    rng = derive_rng(0, "m")
+    before = rng.getstate()
+    assert select_parents(Op.MERGE, pool, 0, rng) is None
+    assert rng.getstate() == before  # nothing drawn
 
 
 def test_select_parents_requires_valid_own_elite():
     pool = full_pool([0.5, None])
-    with pytest.raises(ConfigurationError):
-        select_parents(Op.CONTINUE, pool, 1, derive_rng(0, "c"))
+    for op in (Op.CONTINUE, Op.MERGE, Op.EDA):
+        rng = derive_rng(0, "c")
+        before = rng.getstate()
+        assert select_parents(op, pool, 1, rng) is None
+        assert rng.getstate() == before
 
 
 def test_select_parents_deterministic_with_same_stream():
@@ -254,7 +266,7 @@ def test_plan_iteration_forced_continue_uses_same_slot_parent():
     seeds = plan_iteration(pool, new_state(config.hedge_config()), 2, config)
     for slot, seed in enumerate(seeds):
         assert seed.operator is Op.CONTINUE
-        assert seed.parents[0].id == pool[slot].archive.id
+        assert seed.parents[0].id == pool[slot].id
 
 
 def test_plan_iteration_is_deterministic():
@@ -298,7 +310,7 @@ def test_plan_iteration_merge_with_partner():
     for slot, seed in enumerate(seeds):
         assert seed.operator is Op.MERGE
         assert len(seed.parents) == 2
-        assert seed.parents[0].id == pool[slot].archive.id
+        assert seed.parents[0].id == pool[slot].id
 
 
 # -- seed arity ------------------------------------------------------
@@ -320,76 +332,77 @@ def test_agent_seed_arity_validation():
 
 def test_tournament_child_wins():
     incumbent = make_entry(0, 0.82)
-    child = EliteEntry(0, 0.87, make_ref("c", 0.87), 2, Op.CONTINUE, ("a0",))
-    winner, record = resolve_tournament(
+    child = make_ref("c", 0.87, 0, Op.CONTINUE, 2, ("a0",))
+    winner, event = resolve_tournament(
         child, incumbent, HIGHER, iteration=2, operator=Op.CONTINUE,
         parent_ids=("a0",), slot=0,
     )
     assert winner is child
-    assert record.child_won and record.child_valid
-    assert record.delta == pytest.approx(0.05)
-    assert record.parent_score == 0.82 and record.child_score == 0.87
+    assert event["child_won"] and event["child_valid"]
+    assert event["delta"] == pytest.approx(0.05)
+    assert event["parent_score"] == 0.82 and event["child_score"] == 0.87
 
 
 def test_tournament_tie_keeps_incumbent():
     incumbent = make_entry(0, 0.82)
-    child = EliteEntry(0, 0.82, make_ref("c", 0.82), 2, Op.EDA, ("a0",))
-    winner, record = resolve_tournament(
+    child = make_ref("c", 0.82, 0, Op.EDA, 2, ("a0",))
+    winner, event = resolve_tournament(
         child, incumbent, HIGHER, iteration=2, operator=Op.EDA, slot=0,
     )
     assert winner is incumbent
-    assert not record.child_won
-    assert record.delta == 0.0
+    assert not event["child_won"]
+    assert event["delta"] == 0.0
 
 
 def test_tournament_invalid_child_keeps_incumbent():
     incumbent = make_entry(0, 0.82)
-    winner, record = resolve_tournament(
+    winner, event = resolve_tournament(
         None, incumbent, HIGHER, iteration=2, operator=Op.MERGE, slot=0,
     )
     assert winner is incumbent
-    assert not record.child_valid and not record.child_won
-    assert record.delta is None and record.child_score is None
+    assert not event["child_valid"] and not event["child_won"]
+    assert event["delta"] is None and event["child_score"] is None
+    assert event["child_id"] is None
 
 
 def test_tournament_lower_is_better():
     incumbent = make_entry(0, 0.50)
-    child = EliteEntry(0, 0.40, make_ref("c", 0.40), 2, Op.CONTINUE, ("a0",))
-    winner, record = resolve_tournament(
+    child = make_ref("c", 0.40, 0, Op.CONTINUE, 2, ("a0",))
+    winner, event = resolve_tournament(
         child, incumbent, LOWER, iteration=2, operator=Op.CONTINUE, slot=0,
     )
     assert winner is child
-    assert record.delta == pytest.approx(0.10)
+    assert event["delta"] == pytest.approx(0.10)
 
 
 def test_tournament_iteration_one_installs_unconditionally():
-    child = EliteEntry(3, 0.2, make_ref("c", 0.2, 3), 1, Op.INITIAL)
-    winner, record = resolve_tournament(
+    child = make_ref("c", 0.2, 3)
+    winner, event = resolve_tournament(
         child, None, HIGHER, iteration=1, operator=Op.INITIAL, slot=3,
     )
-    assert winner is child and record.child_won
-    assert record.parent_score is None and record.delta is None
+    assert winner is child and event["child_won"]
+    assert event["parent_score"] is None and event["delta"] is None
 
 
 def test_tournament_iteration_one_failure_leaves_sentinel():
     # the slot stays empty
-    winner, record = resolve_tournament(
+    winner, event = resolve_tournament(
         None, None, HIGHER, iteration=1, operator=Op.INITIAL, slot=2,
     )
     assert winner is None
-    assert record.slot == 2 and record.parent_score is None and record.delta is None
-    assert not record.child_won and not record.child_valid
+    assert event["slot"] == 2 and event["parent_score"] is None and event["delta"] is None
+    assert not event["child_won"] and not event["child_valid"]
 
 
 def test_tournament_any_valid_child_beats_sentinel():
     # an empty slot after iteration 1 takes any valid child
-    child = EliteEntry(1, -5.0, make_ref("c", -5.0, 1), 3, Op.INITIAL)
-    winner, record = resolve_tournament(
+    child = make_ref("c", -5.0, 1, Op.INITIAL, 3)
+    winner, event = resolve_tournament(
         child, None, HIGHER, iteration=3, operator=Op.INITIAL, slot=1,
     )
-    assert winner is child and record.child_won
-    assert record.parent_score is None
-    assert record.delta is None  # no parent to measure against
+    assert winner is child and event["child_won"]
+    assert event["parent_score"] is None
+    assert event["delta"] is None  # no parent to measure against
 
 
 # -- pool ------------------------------------------------------------
@@ -562,7 +575,7 @@ def test_renamed_finished_root_resumes_as_complete(tmp_path):
     moved = (tmp_path / "run").rename(tmp_path / "elsewhere")
     resumed = EvolutionEngine.resume(moved, ScriptedExecutor(script))
     assert resumed.stopped and resumed.iteration == 3
-    assert resumed.pool.best().archive.path == moved / "archives" / "it0003_slot00"
+    assert resumed.pool.best().path == moved / "archives" / "it0003_slot00"
 
 
 def test_resume_ignores_legacy_archive_index(tmp_path):
@@ -604,17 +617,17 @@ def test_checkpoint_holds_run_state_only(tmp_path):
         "schema_version", "iteration", "stopped", "event_log_offset", "pool", "hedge", "stopping",
     }
     # the archive is the one record of an elite
-    assert raw["pool"] == [e.archive.id for e in engine.pool.entries]
+    assert raw["pool"] == [e.id for e in engine.pool.entries]
     assert set(raw["hedge"]) == {"log_weights"}
     assert set(raw["stopping"]) == {"best_so_far", "stagnation_count"}
 
 
-def old_pool_entry(slot: int, entry: EliteEntry | None) -> dict:
+def old_pool_entry(slot: int, entry: ArchiveRef | None) -> dict:
     """One pool entry as checkpoint versions 1 and 2 wrote it."""
     if entry is None:  # a slot whose first run failed: no score, no archive
         return {"slot": slot, "score": None, "archive_id": None, "origin_iteration": 1,
                 "origin_operator": "initial", "parent_ids": []}
-    return {"slot": slot, "score": entry.score, "archive_id": entry.archive.id,
+    return {"slot": slot, "score": entry.score, "archive_id": entry.id,
             "origin_iteration": entry.origin_iteration,
             "origin_operator": entry.origin_operator.value, "parent_ids": list(entry.parent_ids)}
 
@@ -750,12 +763,17 @@ def test_stopping_event_matches_stagnation(tmp_path):
 
 
 def test_record_to_event_shape():
-    record = TournamentRecord(
-        iteration=2, slot=1, operator=Op.EDA, parent_score=0.5, child_score=0.6,
-        delta=0.1, child_won=True, child_valid=True, child_id="x", parent_ids=("p",),
+    incumbent = make_ref("p", 0.5, 1)
+    child = make_ref("x", 0.6, 1, Op.EDA, 2, ("p",))
+    _, event = resolve_tournament(
+        child, incumbent, HIGHER, iteration=2, operator=Op.EDA, parent_ids=("p",), slot=1,
     )
-    event = record.to_event()
+    assert set(event) == {
+        "type", "iteration", "slot", "operator", "parent_score", "child_score", "delta",
+        "child_won", "child_valid", "child_id", "parent_ids",
+    }
     assert event["type"] == "tournament"
-    assert event["operator"] == "eda"
+    assert event["operator"] == "eda" and type(event["operator"]) is str
     assert event["parent_ids"] == ["p"]
+    assert event["child_id"] == "x" and event["iteration"] == 2 and event["slot"] == 1
     assert math.isclose(event["delta"], 0.1)

@@ -59,7 +59,7 @@ def sim_seed(
     if parent_score is not None:
         ref = ArchiveRef(
             id="p0", path=Path("/nonexistent"), score=parent_score,
-            operator="initial", iteration=1, slot=slot,
+            origin_operator=Op.INITIAL, origin_iteration=1, slot=slot,
         )
         parents = (ref,)
     return AgentSeed(
@@ -421,6 +421,39 @@ def test_parse_rejects_non_string_run_name(tmp_path):
     records, diags = parse_experiment_results(tmp_path)
     assert records == ()
     assert "run_name" in diags["parse:run_1"]
+
+
+@pytest.mark.parametrize("run_name", [
+    "../../../../escaped",  # would leave the archive
+    "sub/dir",  # names a missing subdirectory
+    "a\u0000b",  # the OS refuses a NUL
+    "\ud800",  # a lone surrogate has no UTF-8 form
+    "x" * 300,  # longer than a file name may be
+    "x" * 247,  # <name>.json.tmp is 256 bytes
+    "\u00e9" * 124,  # 124 characters, but 248 bytes
+], ids=["parent_dirs", "slash", "nul", "surrogate", "300_chars", "256_byte_tmp", "utf8_bytes"])
+def test_parse_rejects_run_name_unusable_as_file_name(tmp_path, run_name):
+    write_result(tmp_path, "run_1", {"run_name": run_name, "score": 0.3})
+    write_result(tmp_path, "run_2", {"run_name": "ok", "score": 0.4})
+    records, diags = parse_experiment_results(tmp_path)
+    assert [r.run_name for r in records] == ["ok"]
+    assert "not usable as a file name" in diags["parse:run_1"]
+
+
+def test_parse_accepts_longest_file_name(tmp_path):
+    # <name>.json.tmp at exactly 255 bytes
+    write_result(tmp_path, "run_1", {"run_name": "x" * 246, "score": 0.3})
+    write_result(tmp_path, "run_2", {"run_name": "..", "score": 0.4})  # the file "...json"
+    records, diags = parse_experiment_results(tmp_path)
+    assert [r.run_name for r in records] == ["x" * 246, ".."]
+    assert diags == {}
+
+
+def test_parse_rejects_long_directory_name_fallback(tmp_path):
+    write_result(tmp_path, "d" * 250, {"score": 0.3})
+    records, diags = parse_experiment_results(tmp_path)
+    assert records == ()
+    assert "not usable as a file name" in diags["parse:" + "d" * 250]
 
 
 def test_parse_optional_fields(tmp_path):

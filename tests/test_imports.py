@@ -3,14 +3,19 @@
 The intra-package import graph must stay acyclic: every
 src/seedevo/*.py is parsed with ast; imports at module level and inside
 functions both count, imports under `if TYPE_CHECKING:` do not (they
-never run).  And every RunConfig field must be read somewhere outside
-the code that checks and serializes it, so no setting silently does
-nothing.
+never run).  The package root imports nothing: each name is imported
+from the module that defines it, so importing one module loads only
+what that module needs.  And every RunConfig field must be read
+somewhere outside the code that checks and serializes it, so no
+setting silently does nothing.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -121,6 +126,24 @@ def test_collector_counts_function_imports_and_skips_type_checking():
     assert find_cycle(graph) is None
     sources["a"] = "import seedevo.b\n"
     assert find_cycle(import_graph(sources)) == ["a", "b", "a"]
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert imports == []
+    assert ast.get_docstring(tree)
+
+
+def test_compression_loads_no_other_package_module():
+    code = (
+        "import sys, seedevo.compression\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('seedevo'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == ["seedevo", "seedevo.compression"]
 
 
 class _AttributeReads(ast.NodeVisitor):

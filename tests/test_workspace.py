@@ -38,7 +38,7 @@ def make_parent(tmp_path: Path, name: str, score: float, files: dict[str, str] |
     root = tmp_path / name
     build_tree(root, files or {"solution/main.py": "print('hi')\n", "notes.md": "notes\n"})
     return ArchiveRef(
-        id=name, path=root, score=score, operator="initial", iteration=1, slot=0
+        id=name, path=root, score=score, origin_operator=Op.INITIAL, origin_iteration=1, slot=0
     )
 
 
@@ -219,7 +219,7 @@ def store_with_run(tmp_path, files=None) -> RunStore:
 
 
 def archive(store: RunStore, outcome) -> ArchiveRef:
-    return store.archive_run(outcome, "continue", ["p0"], 1, 0)
+    return store.archive_run(outcome, Op.CONTINUE, ["p0"], 1, 0)
 
 
 def test_archive_run_freezes_experiments_and_manifest(tmp_path):
@@ -235,8 +235,18 @@ def test_archive_run_freezes_experiments_and_manifest(tmp_path):
     assert manifest["parent_ids"] == ["p0"]
     assert manifest["experiments"] == [f"run_{i}" for i in range(1, 6)]
     assert ref.score == 0.8 and ref.parent_ids == ("p0",)
+    assert ref.origin_operator is Op.CONTINUE and ref.origin_iteration == 1
     assert (ref.path / "solution/model.py").read_text() == "m"
     assert (ref.path / "logs/run.log").read_text() == "log line"
+
+
+def test_archive_run_skips_dangling_symlink(tmp_path):
+    store = store_with_run(tmp_path, {"solution/model.py": "m"})
+    solution = store.workspace_path(1, 0) / "solution"
+    (solution / "dangling").symlink_to(tmp_path / "nonexistent")
+    ref = archive(store, verified_outcome())
+    assert sorted(p.name for p in (ref.path / "solution").iterdir()) == ["model.py"]
+    assert store.resolve_archive(ref.id) == ref
 
 
 def test_archive_creates_empty_dirs_when_workspace_lacks_them(tmp_path):
@@ -408,7 +418,7 @@ def test_store_path_formats(tmp_path):
 
 def test_store_archive_and_resolve_round_trip(tmp_path):
     store = RunStore.create(tmp_path / "run")
-    ref = store.archive_run(verified_outcome(0.7), "initial", [], 1, 0)
+    ref = store.archive_run(verified_outcome(0.7), Op.INITIAL, [], 1, 0)
     assert ref.id == "it0001_slot00"
     resolved = store.resolve_archive("it0001_slot00")
     assert resolved == ref
@@ -416,11 +426,22 @@ def test_store_archive_and_resolve_round_trip(tmp_path):
         store.resolve_archive("it9999_slot00")
 
 
+def test_store_resolve_rejects_unknown_operator(tmp_path):
+    store = RunStore.create(tmp_path / "run")
+    ref = store.archive_run(verified_outcome(), Op.INITIAL, [], 1, 0)
+    manifest = json.loads((ref.path / "manifest.json").read_text())
+    for bad in ("bogus", None):
+        manifest["operator"] = bad
+        (ref.path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptStateError, match="manifest"):
+            store.resolve_archive(ref.id)
+
+
 def test_store_resolve_detects_deleted_archive(tmp_path):
     import shutil
 
     store = RunStore.create(tmp_path / "run")
-    ref = store.archive_run(verified_outcome(), "initial", [], 1, 0)
+    ref = store.archive_run(verified_outcome(), Op.INITIAL, [], 1, 0)
     shutil.rmtree(ref.path)
     with pytest.raises(CorruptStateError):
         store.resolve_archive(ref.id)
@@ -429,7 +450,7 @@ def test_store_resolve_detects_deleted_archive(tmp_path):
 def test_store_prune_removes_later_iterations_only(tmp_path):
     store = RunStore.create(tmp_path / "run")
     for iteration in (1, 2, 3):
-        store.archive_run(verified_outcome(), "initial", [], iteration, 0)
+        store.archive_run(verified_outcome(), Op.INITIAL, [], iteration, 0)
         store.workspace_path(iteration, 0).mkdir(parents=True)
     store.prune_after_iteration(1)
     assert store.resolve_archive("it0001_slot00")
@@ -444,7 +465,7 @@ def test_store_prune_removes_later_iterations_only(tmp_path):
 
 def test_store_prune_leaves_unparsable_entries(tmp_path):
     store = RunStore.create(tmp_path / "run")
-    store.archive_run(verified_outcome(), "initial", [], 2, 0)
+    store.archive_run(verified_outcome(), Op.INITIAL, [], 2, 0)
     strays = [store.workspaces_dir / "iter_notes", store.archives_dir / "notes"]
     for stray in strays:
         build_tree(stray, {"keep.txt": "keep"})
@@ -456,7 +477,7 @@ def test_store_prune_leaves_unparsable_entries(tmp_path):
 
 def test_store_resolve_reads_manifest_not_stored_path(tmp_path):
     store = RunStore.create(tmp_path / "run")
-    store.archive_run(verified_outcome(0.7), "initial", [], 1, 0)
+    store.archive_run(verified_outcome(0.7), Op.INITIAL, [], 1, 0)
     moved = RunStore((tmp_path / "run").rename(tmp_path / "moved"))
     assert moved.resolve_archive("it0001_slot00").path == moved.archives_dir / "it0001_slot00"
     (moved.archives_dir / "it0001_slot00" / "manifest.json").write_text("{mangled")
