@@ -7,13 +7,15 @@ Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import sys
 import tempfile
 from pathlib import Path
 
 from . import compression, reporting
-from .config import load_config, parse_bool, read_json_object
+from .config import SETTINGS, load_config, parse_setting, read_json_object
 from .engine import EvolutionEngine
 from .errors import ConfigurationError, CorruptStateError, SeedevoError
 from .events import read_events
@@ -25,48 +27,30 @@ EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CORRUPT = 3
 
+#: The file in an output root that run and resume hold locked.
+LOCK_FILENAME = "writer.lock"
+
 
 def _config_overrides(args: argparse.Namespace) -> dict:
     """Collect flag-level overrides; flags beat env and file values."""
-    overrides: dict = {}
-    mapping = {
-        "population": "population_size",
-        "workers": "workers",
-        "seed": "master_seed",
-        "max_iterations": "max_iterations",
-        "patience": "patience",
-        "threshold": "improvement_threshold",
-        "executor": "executor",
-        "data": "data_path",
-        "mount_data": "data_provisioning",
-        "num_training_runs": "num_training_runs",
+    overrides = {
+        key: parse_setting(key, getattr(args, key), flag)
+        for key, (_, flag) in SETTINGS.items()
+        if flag and getattr(args, key) is not None
     }
-    for flag, key in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "higher_is_better", None) is not None:
-        try:
-            overrides["higher_is_better"] = parse_bool(args.higher_is_better)
-        except ValueError as exc:
-            raise ConfigurationError("higher_is_better", str(exc)) from exc
-    if getattr(args, "external_command", None):
+    if args.external_command:
         overrides["external_command"] = args.external_command
         overrides["executor"] = "external"
-    if getattr(args, "sim_params", None):
+    if args.sim_params:
         overrides["sim_params"] = read_json_object(args.sim_params, "sim_params")
     return overrides
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON config file")
-    p.add_argument("--population", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--executor", choices=["simulated", "external"])
+    for key, (var, flag) in SETTINGS.items():
+        if flag:
+            p.add_argument(flag, dest=key, help=f"{key}; also ${var}")
     p.add_argument("--sim-params", dest="sim_params", help="JSON file of simulator parameters")
     p.add_argument(
         "--external-command",
@@ -74,14 +58,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         nargs="+",
         help="command template; {workspace} {seed_manifest} {data} are substituted",
     )
-    p.add_argument("--data", help="task data directory")
-    p.add_argument("--mount-data", dest="mount_data", choices=["copy", "link"])
-    p.add_argument(
-        "--higher-is-better",
-        dest="higher_is_better",
-        metavar="{true,false}",
-    )
-    p.add_argument("--num-training-runs", dest="num_training_runs", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,21 +105,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _sole_writer(root: Path):
+    """Hold an exclusive lock on the root's lock file while the body
+    runs, so a second run or resume of the same root fails at once
+    instead of writing beside the first.  The kernel drops the lock
+    when its process dies."""
+    with open(root / LOCK_FILENAME, "a") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise SeedevoError(f"output root in use: {root}") from None
+        yield
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(config_file=args.config, overrides=_config_overrides(args))
     if args.print_config:
         print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
-    engine = EvolutionEngine.start(config, build_executor(config), args.output)
-    return _run_to_end(engine, args.output)
+    executor = build_executor(config)
+    args.output.mkdir(parents=True, exist_ok=True)
+    with _sole_writer(args.output):
+        engine = EvolutionEngine.start(config, executor, args.output)
+        return _run_to_end(engine, args.output)
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    engine = EvolutionEngine.resume(args.output)
-    if engine.stopped:
-        print(f"run already complete at iteration {engine.iteration}")
-        return EXIT_OK
-    return _run_to_end(engine, args.output)
+    RunStore.open(args.output)  # a root that holds no run exits 3, untouched
+    with _sole_writer(args.output):
+        engine = EvolutionEngine.resume(args.output)
+        if engine.stopped:
+            print(f"run already complete at iteration {engine.iteration}")
+            return EXIT_OK
+        return _run_to_end(engine, args.output)
 
 
 def _run_to_end(engine: EvolutionEngine, output_root: Path) -> int:

@@ -159,7 +159,13 @@ class BudgetConfig:
 
 class MessageHistory:
     """Ordered transcript plus per-message compression state: a
-    message is pending until stage one puts its form in cache."""
+    message is pending until stage one puts its form in cache.
+
+    add also applies the grouping rule: an AI message carrying tool-call
+    args absorbs the run of tool messages that follows it, and every
+    other message stands alone.  groups holds the member ids of each
+    group in order; a tool message with no tool call before it is
+    malformed input, stands alone and is listed in orphans."""
 
     def __init__(self, counter: TokenCounter = count_tokens):
         self.counter = counter
@@ -167,6 +173,8 @@ class MessageHistory:
         self._positions: dict[int, int] = {}
         self.cache: dict[int, CompressedForm] = {}
         self.diagnostics: list[str] = []
+        self.groups: list[list[int]] = []
+        self.orphans: list[int] = []
 
     def add(
         self,
@@ -184,42 +192,23 @@ class MessageHistory:
         msg = Message.create(msg_id, role, text, tool_call_args, self.counter)
         self._positions[msg_id] = len(self.messages)
         self.messages.append(msg)
+        if role == "tool" and self.groups and self.get(self.groups[-1][0]).is_tool_call:
+            self.groups[-1].append(msg_id)
+        else:
+            if role == "tool":
+                self.orphans.append(msg_id)
+            self.groups.append([msg_id])
         return msg
 
     def get(self, msg_id: int) -> Message:
         return self.messages[self._positions[msg_id]]
 
 
-def _partition(messages: list[Message]) -> tuple[list[list[int]], list[int]]:
-    """The grouping rule, without side effects: the member ids of each
-    group in order, and the ids of the orphan tool messages.
-
-    An AI message carrying tool-call args absorbs the run of tool
-    messages that follows it; every other message stands alone.
-    """
-    members: list[list[int]] = []
-    orphans: list[int] = []
-    absorbing = False
-    for msg in messages:
-        if msg.role == "tool":
-            if absorbing:
-                members[-1].append(msg.id)
-                continue
-            orphans.append(msg.id)
-        members.append([msg.id])
-        absorbing = msg.is_tool_call
-    return members, orphans
-
-
 def group_messages(history: MessageHistory) -> list[MessageGroup]:
-    """Partition the transcript into atomic groups, in order.
-
-    A tool message with no tool call before it is malformed input; it
-    becomes its own group with a diagnostic.
-    """
-    members, orphans = _partition(history.messages)
-    history.diagnostics.extend(f"orphan tool message {mid}" for mid in orphans)
-    return [MessageGroup(member_ids=tuple(ids)) for ids in members]
+    """The transcript's atomic groups, in order; every call reports each
+    orphan tool message in the diagnostics."""
+    history.diagnostics.extend(f"orphan tool message {mid}" for mid in history.orphans)
+    return [MessageGroup(member_ids=tuple(ids)) for ids in history.groups]
 
 
 def compress_pending(
@@ -237,9 +226,8 @@ def compress_pending(
     reported, not raised; outside the window nothing is attempted, so
     nothing is reported.
     """
-    members, _ = _partition(history.messages)
     diagnostics: list[str] = []
-    for ids in members[-budget.window_groups:]:
+    for ids in history.groups[-budget.window_groups:]:
         for msg_id in ids:
             if msg_id in history.cache:
                 continue

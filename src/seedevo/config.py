@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigurationError
-from .hedge import HedgeConfig
+from .hedge import BOUND_SWEEPS, HedgeConfig
 from .operators import Operator
 
 DEFAULT_BASE_PROBS = {
@@ -74,7 +74,7 @@ class RunConfig:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _conforms(value, _FIELD_TYPES[f.name]):
+            if not conforms(value, _FIELD_TYPES[f.name]):
                 raise ConfigurationError(f.name, f"must be {f.type}, got {value!r}")
         if self.population_size < 1:
             raise ConfigurationError("population_size", f"must be >= 1, got {self.population_size}")
@@ -133,8 +133,8 @@ class RunConfig:
         # retired keys that run_config.json files written before their
         # removal still hold; neither ever changed a run at these values
         raw.pop("continue_parents_min", None)
-        if raw.pop("max_bound_iterations", 10) != 10:
-            raise ConfigurationError("max_bound_iterations", "retired; only 10 is accepted")
+        if raw.pop("max_bound_iterations", BOUND_SWEEPS) != BOUND_SWEEPS:
+            raise ConfigurationError("max_bound_iterations", f"retired; must be {BOUND_SWEEPS}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
@@ -142,7 +142,7 @@ class RunConfig:
         merged = cls().to_dict()
         merged.update(raw)
         for key in PROB_MAPS:
-            if not _conforms(merged[key], dict[str, float]):
+            if not conforms(merged[key], dict[str, float]):
                 raise ConfigurationError(key, f"must map operators to numbers, got {merged[key]!r}")
             try:
                 merged[key] = {Operator(k): float(v) for k, v in merged[key].items()}
@@ -154,62 +154,65 @@ class RunConfig:
 _FIELD_TYPES = typing.get_type_hints(RunConfig)  # resolved once, not on every validate
 
 
-def _conforms(value, hint) -> bool:
+def conforms(value, hint) -> bool:
     """Whether a value has a declared type: ints pass as floats, but
     bools are not numbers and strings are not lists."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:
-        return any(_conforms(value, arg) for arg in args)
+        return any(conforms(value, arg) for arg in args)
     if hint in (int, float):
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
     if origin is list:
-        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+        return isinstance(value, list) and all(conforms(v, args[0]) for v in value)
     if origin is dict:
-        return isinstance(value, dict) and all(_conforms(v, args[1]) for v in value.values())
+        return isinstance(value, dict) and all(conforms(v, args[1]) for v in value.values())
     return isinstance(value, hint)
+
+
+#: Each user-settable field's environment variable and command-line flag
+#: (None: no flag).  Both carry text, which parse_setting reads by the
+#: field's declared type.  Probability maps get one GA_PROB_<OPERATOR>
+#: variable per operator instead.
+SETTINGS = {
+    "population_size": ("GA_POPULATION", "--population"),
+    "workers": ("GA_WORKERS", "--workers"),
+    "learning_rate": ("GA_ETA", None),
+    "clip_cap": ("GA_KAPPA", None),
+    "max_iterations": ("GA_MAX_ITERATIONS", "--max-iterations"),
+    "patience": ("GA_PATIENCE", "--patience"),
+    "improvement_threshold": ("GA_THRESHOLD", "--threshold"),
+    "continue_parents_max": ("GA_CONTINUE_PARENTS_MAX", None),
+    "num_training_runs": ("NUM_TRAINING_RUNS", "--num-training-runs"),
+    "higher_is_better": ("GA_HIGHER_IS_BETTER", "--higher-is-better"),
+    "master_seed": ("GA_SEED", "--seed"),
+    "executor": ("GA_EXECUTOR", "--executor"),
+    "data_path": ("GA_DATA", "--data"),
+    "data_provisioning": ("GA_MOUNT_DATA", "--mount-data"),
+    "external_timeout_seconds": ("GA_TIMEOUT_SECONDS", None),
+}
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def parse_bool(text: str) -> bool:
-    """1/true/yes or 0/false/no, in any case; anything else is a
-    ValueError rather than a silent false."""
+def parse_setting(key: str, text: str, source: str):
+    """A flag or variable value, read by its field's declared type (the X
+    of X | None); source names where the text came from.  A bool takes
+    1/true/yes or 0/false/no in any case, never a silent false."""
+    kind = (typing.get_args(_FIELD_TYPES[key]) or (_FIELD_TYPES[key],))[0]
     try:
-        return _BOOLEANS[text.lower()]
-    except KeyError:
-        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}") from None
-
-
-# environment variable -> (config key, parser); probability maps get
-# dedicated per-operator variables in the style of the runtime they wrap
-_ENV_SCALARS = {
-    "GA_POPULATION": ("population_size", int),
-    "GA_WORKERS": ("workers", int),
-    "GA_ETA": ("learning_rate", float),
-    "GA_KAPPA": ("clip_cap", float),
-    "GA_MAX_ITERATIONS": ("max_iterations", int),
-    "GA_PATIENCE": ("patience", int),
-    "GA_THRESHOLD": ("improvement_threshold", float),
-    "GA_CONTINUE_PARENTS_MAX": ("continue_parents_max", int),
-    "NUM_TRAINING_RUNS": ("num_training_runs", int),
-    "GA_HIGHER_IS_BETTER": ("higher_is_better", parse_bool),
-    "GA_SEED": ("master_seed", int),
-    "GA_EXECUTOR": ("executor", str),
-    "GA_DATA": ("data_path", str),
-    "GA_MOUNT_DATA": ("data_provisioning", str),
-    "GA_TIMEOUT_SECONDS": ("external_timeout_seconds", float),
-}
+        return _BOOLEANS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        want = "1/true/yes or 0/false/no" if kind is bool else kind.__name__
+        raise ConfigurationError(key, f"{source} needs {want}, got {text!r}") from None
 
 
 def _env_overrides(env: dict) -> dict:
-    out: dict = {}
-    for var, (key, parse) in _ENV_SCALARS.items():
-        if var in env:
-            try:
-                out[key] = parse(env[var])
-            except ValueError as exc:
-                raise ConfigurationError(key, f"bad value in ${var}: {env[var]!r}") from exc
+    out = {
+        key: parse_setting(key, env[var], f"${var}")
+        for key, (var, _) in SETTINGS.items()
+        if var in env
+    }
     for op in Operator:
         var = f"GA_PROB_{op.value.upper()}"
         if var in env:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .config import conforms
 from .errors import ConfigurationError
 from .operators import Operator
 from .rng import derive_rng
@@ -134,47 +135,39 @@ class SimModelParams:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimModelParams":
-        defaults = cls()
-        known = set(defaults.to_dict())
-        unknown = set(raw) - known
+        """Read a parameter file: each value must have its default's type
+        (an int passes as a float), and operator maps merge per operator."""
+        merged = cls().to_dict()
+        unknown = set(raw) - set(merged)
         if unknown:
             raise ConfigurationError(sorted(unknown)[0], "unknown simulator parameter")
-
-        def number(key: str, value) -> float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(key, f"must be a number, got {value!r}")
-            return float(value)
-
-        def typed(key: str, default, kind: type, what: str):
-            value = raw.get(key, default)
-            if not isinstance(value, kind):
-                raise ConfigurationError(key, f"must be {what}, got {value!r}")
-            return value
-
-        def op_map(key: str, base: dict) -> dict:
-            entries = raw.get(key, {})
-            if not isinstance(entries, dict):
+        for key, value in raw.items():
+            default = merged[key]
+            if not isinstance(default, dict):
+                merged[key] = _typed(key, value, default)
+                continue
+            if not isinstance(value, dict):
                 raise ConfigurationError(key, "must map operator names to numbers")
-            operators = {op.value: op for op in Operator}
-            merged = dict(base)
-            for name, value in entries.items():
-                if name not in operators:
+            for name, entry in value.items():
+                if name not in _OPERATOR_NAMES:
                     raise ConfigurationError(f"{key}.{name}", "unknown operator")
-                merged[operators[name]] = number(f"{key}.{name}", value)
-            return merged
+                default[name] = _typed(f"{key}.{name}", entry, 0.0)
+        direction = MetricDirection(merged.pop("higher_is_better"))
+        for key, value in merged.items():
+            if isinstance(value, dict):
+                merged[key] = {Operator(name): p for name, p in value.items()}
+        return cls(direction=direction, **merged)
 
-        return cls(
-            direction=MetricDirection(typed("higher_is_better", True, bool, "true or false")),
-            base_mean=number("base_mean", raw.get("base_mean", defaults.base_mean)),
-            base_sd=number("base_sd", raw.get("base_sd", defaults.base_sd)),
-            gain_mean=op_map("gain_mean", defaults.gain_mean),
-            gain_sd=op_map("gain_sd", defaults.gain_sd),
-            failure_prob=op_map("failure_prob", defaults.failure_prob),
-            experiment_spread=number(
-                "experiment_spread", raw.get("experiment_spread", defaults.experiment_spread)
-            ),
-            metric=typed("metric", defaults.metric, str, "a string"),
-        )
+
+_OPERATOR_NAMES = {op.value for op in Operator}
+
+
+def _typed(name: str, value, default):
+    """value, if it has the type of default; floats come back as float."""
+    kind = type(default)
+    if not conforms(value, kind):
+        raise ConfigurationError(name, f"must be {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 class SimulatedExecutor:

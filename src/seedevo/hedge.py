@@ -23,6 +23,9 @@ from .operators import Operator
 #: Convergence tolerance for the bounds-enforcement fixed point.
 _STABLE_EPS = 1e-12
 
+#: Most ceiling-then-floor sweeps enforce_bounds makes.
+BOUND_SWEEPS = 10
+
 
 @dataclass(frozen=True)
 class HedgeConfig:
@@ -136,7 +139,6 @@ def enforce_bounds(
     probs: dict[Operator, float],
     floors: dict[Operator, float],
     ceilings: dict[Operator, float],
-    max_iterations: int = 10,
 ) -> dict[Operator, float]:
     """Push a probability vector inside per-operator box bounds.
 
@@ -146,11 +148,11 @@ def enforce_bounds(
     The floor pass lifts violators and takes the deficit from
     above-floor operators in proportion to their surplus, never pushing
     a donor below its own floor.  Sweeps repeat until nothing moves or
-    the iteration cap is hit, then the vector is renormalized.
+    BOUND_SWEEPS is reached, then the vector is renormalized.
     """
     ops = list(probs)
     p = dict(probs)
-    for _ in range(max_iterations):
+    for _ in range(BOUND_SWEEPS):
         moved = False
 
         over = [k for k in ops if k in ceilings and p[k] > ceilings[k] + _STABLE_EPS]

@@ -288,6 +288,11 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
 # -- run store --------------------------------------------------------
 
 
+def _symlinks(directory: str, names: list[str]) -> list[str]:
+    """The entries of a directory that are symlinks: copytree's ignore."""
+    return [n for n in names if os.path.islink(os.path.join(directory, n))]
+
+
 class RunStore:
     """Filesystem layout of one output root."""
 
@@ -362,7 +367,8 @@ class RunStore:
         immutable archive directory.
 
         Captures the per-experiment records, the workspace's solution/
-        and logs/ trees when present (less any dangling symlink), and a
+        and logs/ trees when present (less every symlink, whose target
+        may lie anywhere or nowhere), and a
         manifest tying scores to lineage.  Unverifiable outcomes are
         rejected.  The workspace and the archive both derive from the
         (iteration, slot) key, so the collision check refuses a second
@@ -390,8 +396,8 @@ class RunStore:
         for sub in ("solution", "logs"):
             src = workspace / sub
             dest = archive_dir / sub
-            if src.is_dir():
-                shutil.copytree(src, dest, ignore_dangling_symlinks=True)
+            if src.is_dir() and not src.is_symlink():
+                shutil.copytree(src, dest, ignore=_symlinks)
             else:
                 dest.mkdir()
 

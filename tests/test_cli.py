@@ -3,13 +3,19 @@ documented exit codes."""
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from seedevo.cli import main
-from seedevo.config import load_config
+from seedevo.cli import LOCK_FILENAME, main
+from seedevo.config import SETTINGS, load_config
 from seedevo.engine import EvolutionEngine
 from seedevo.executors import build_executor
 from seedevo.workspace import RunStore
@@ -205,6 +211,189 @@ def test_misspelled_higher_is_better_exits_1(tmp_path, capsys, monkeypatch, valu
     monkeypatch.setenv("GA_HIGHER_IS_BETTER", value)
     assert main(["run", "--output", str(tmp_path / "b"), "--print-config"]) == 1
     assert capsys.readouterr().err.startswith("configuration error: higher_is_better:")
+
+
+#: One text value per settings-table field, with the value it parses to;
+#: none is the field's default.
+SETTING_SAMPLES = {
+    "population_size": ("4", 4),
+    "workers": ("2", 2),
+    "learning_rate": ("0.25", 0.25),
+    "clip_cap": ("3.5", 3.5),
+    "max_iterations": ("7", 7),
+    "patience": ("9", 9),
+    "improvement_threshold": ("0.01", 0.01),
+    "continue_parents_max": ("2", 2),
+    "num_training_runs": ("3", 3),
+    "higher_is_better": ("false", False),
+    "master_seed": ("42", 42),
+    "executor": ("external", "external"),
+    "data_path": ("/task/data", "/task/data"),
+    "data_provisioning": ("copy", "copy"),
+    "external_timeout_seconds": ("90.5", 90.5),
+}
+
+#: What an external executor needs, so the executor row validates.
+SETTING_BASE = {"external_command": ["train.sh"], "data_path": "/base/data"}
+
+
+def print_config(tmp_path, monkeypatch, capsys, file_values=None, env=None, flags=()):
+    """The printed config for one layering of file, environment and flags,
+    or the exit code and stderr when it fails."""
+    config_file = tmp_path / "layer.json"
+    config_file.write_text(json.dumps({**SETTING_BASE, **(file_values or {})}))
+    for var, text in (env or {}).items():
+        monkeypatch.setenv(var, text)
+    code = main(["run", "--output", str(tmp_path / "never"), "--print-config",
+                 "--config", str(config_file), *flags])
+    for var in env or {}:
+        monkeypatch.delenv(var)
+    captured = capsys.readouterr()
+    assert not (tmp_path / "never").exists()
+    return json.loads(captured.out) if code == 0 else (code, captured.err)
+
+
+def setting_sources(key: str, text: str, value) -> dict:
+    """print_config arguments that set one field from each of its sources."""
+    var, flag = SETTINGS[key]
+    sources = {"file": {"file_values": {key: value}}, "env": {"env": {var: text}}}
+    if flag:
+        sources["flag"] = {"flags": (flag, text)}
+    return sources
+
+
+def test_setting_samples_cover_the_table():
+    assert set(SETTING_SAMPLES) == set(SETTINGS)
+
+
+@pytest.mark.parametrize("key", sorted(SETTINGS))
+def test_flag_variable_and_file_give_the_same_value(tmp_path, monkeypatch, capsys, key):
+    text, expected = SETTING_SAMPLES[key]
+    printed = {
+        source: print_config(tmp_path, monkeypatch, capsys, **kwargs)
+        for source, kwargs in setting_sources(key, text, expected).items()
+    }
+    for config in printed.values():
+        assert config[key] == expected and type(config[key]) is type(expected)
+        assert config == printed["file"]
+
+
+#: Malformed text for a setting, and the field its error names.
+BAD_SETTING_VALUES = [
+    ("population_size", "abc"),
+    ("executor", "bogus"),
+    ("data_provisioning", "teleport"),
+    ("master_seed", "1.5"),
+    ("improvement_threshold", "tiny"),
+    ("higher_is_better", "treu"),
+]
+
+
+@pytest.mark.parametrize("key, text", BAD_SETTING_VALUES)
+def test_bad_setting_from_any_source_exits_1(tmp_path, monkeypatch, capsys, key, text):
+    for source, kwargs in setting_sources(key, text, text).items():
+        code, err = print_config(tmp_path, monkeypatch, capsys, **kwargs)
+        assert code == 1, source
+        assert err.startswith(f"configuration error: {key}:"), (source, err)
+
+
+@pytest.mark.parametrize(
+    "flags", [("--population", "abc"), ("--executor", "bogus"), ("--mount-data", "teleport")]
+)
+def test_bad_run_flag_exits_1_without_creating_the_root(tmp_path, capsys, flags):
+    assert main(run_args(tmp_path / "o", *flags)) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "o").exists()
+
+
+# -- one writer per output root ----------------------------------------
+
+
+def root_bytes(root) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@contextlib.contextmanager
+def holding_lock(root):
+    with open(root / LOCK_FILENAME, "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+
+
+def test_resume_of_locked_root_exits_2_and_changes_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    config = load_config(env={}, overrides={"master_seed": 11, "max_iterations": 3})
+    EvolutionEngine.start(config, build_executor(config), out).step()
+    with holding_lock(out):
+        before = root_bytes(out)
+        assert main(["resume", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: output root in use")
+        assert root_bytes(out) == before
+    assert main(["resume", "--output", str(out)]) == 0
+
+
+def test_run_into_locked_root_exits_2_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    with holding_lock(out):
+        assert main(run_args(out)) == 2
+        assert capsys.readouterr().err.startswith("error: output root in use")
+    assert [p.name for p in out.iterdir()] == [LOCK_FILENAME]
+
+
+def test_resume_of_missing_root_creates_nothing(tmp_path):
+    assert main(["resume", "--output", str(tmp_path / "nowhere")]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
+#: Agent for the concurrent-resume test: every slot of iteration 2 waits
+#: (at most 20 s) until the gate file exists; scores follow the slot.
+GATED_AGENT = """
+import json, os, sys, time
+gate = sys.argv[1]
+manifest = json.load(open("seed_manifest.json"))
+iteration = manifest["context_params"]["iteration"]
+if iteration == 2:
+    open(gate + ".waiting", "a").close()
+    deadline = time.monotonic() + 20
+    while not os.path.exists(gate) and time.monotonic() < deadline:
+        time.sleep(0.02)
+d = os.path.join("Experiments", "main_training", "run")
+os.makedirs(d)
+with open(os.path.join(d, "results.json"), "w") as fh:
+    json.dump({"run_name": "r", "score": iteration + manifest["slot"] / 10}, fh)
+"""
+
+
+def test_resume_beside_a_live_run_leaves_its_log_intact(tmp_path, capsys):
+    agent = tmp_path / "agent.py"
+    agent.write_text(GATED_AGENT)
+    gate = tmp_path / "gate"
+    (tmp_path / "data").mkdir()
+
+    def args(out):
+        return ["run", "--output", str(out), "--population", "2", "--max-iterations", "4",
+                "--patience", "50", "--seed", "5", "--data", str(tmp_path / "data"),
+                "--external-command", sys.executable, str(agent), str(gate)]
+
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    live = subprocess.Popen([sys.executable, "-m", "seedevo.cli", *args(tmp_path / "live")],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not Path(f"{gate}.waiting").exists():
+            assert live.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        assert main(["resume", "--output", str(tmp_path / "live")]) == 2
+        assert capsys.readouterr().err.startswith("error: output root in use")
+    finally:
+        gate.touch()
+        _, err = live.communicate(timeout=120)
+    assert live.returncode == 0, err
+    assert main(args(tmp_path / "alone")) == 0
+    for name in ("events.jsonl", "checkpoint.json", "report/report.json"):
+        assert (tmp_path / "live" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 # -- resume ----------------------------------------------------------

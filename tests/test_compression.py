@@ -206,6 +206,20 @@ def test_grouping_absorption_stops_at_non_tool():
     assert [g.member_ids for g in groups] == [(0, 1), (2,), (3,)]
 
 
+def test_grouping_extends_open_tool_call_between_calls():
+    history = MessageHistory()
+    history.add("ai", "call", {"k": "v"})
+    history.add("tool", "first")
+    history.add("tool", "also first")
+    assert [g.member_ids for g in group_messages(history)] == [(0, 1, 2)]
+    history.add("tool", "second")
+    history.add("human", "thanks")
+    history.add("tool", "orphan")
+    assert [g.member_ids for g in group_messages(history)] == [(0, 1, 2, 3), (4,), (5,)]
+    group_messages(history)
+    assert history.diagnostics == ["orphan tool message 5"] * 2
+
+
 # -- stage one: compression ------------------------------------------
 
 

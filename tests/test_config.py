@@ -4,10 +4,11 @@ flags > environment > file > defaults layering."""
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from seedevo.config import RunConfig, load_config
+from seedevo.config import SETTINGS, RunConfig, load_config, parse_setting
 from seedevo.errors import ConfigurationError
 from seedevo.operators import Operator as Op
 
@@ -256,6 +257,38 @@ def test_higher_is_better_env_parsing():
         ("0", False), ("false", False), ("no", False),
     ):
         assert load_config(env={"GA_HIGHER_IS_BETTER": value}).higher_is_better is expected
+
+
+def test_settings_table_names_fields_and_repeats_nothing():
+    assert set(SETTINGS) <= {f.name for f in fields(RunConfig)}
+    variables = [var for var, _ in SETTINGS.values()]
+    flags = [flag for _, flag in SETTINGS.values() if flag]
+    assert len(set(variables)) == len(variables)
+    assert len(set(flags)) == len(flags)
+    assert not any(var.startswith("GA_PROB_") for var in variables)
+    assert all(flag.startswith("--") for flag in flags)
+
+
+@pytest.mark.parametrize(
+    "key, text, expected",
+    [
+        ("workers", "4", 4),
+        ("clip_cap", "2", 2.0),
+        ("higher_is_better", "No", False),
+        ("executor", "external", "external"),
+        ("data_path", "/data", "/data"),
+    ],
+)
+def test_parse_setting_reads_the_declared_type(key, text, expected):
+    value = parse_setting(key, text, "--x")
+    assert value == expected and type(value) is type(expected)
+
+
+def test_parse_setting_error_names_field_and_source():
+    with pytest.raises(ConfigurationError, match=r"^workers: \$GA_WORKERS needs int, got '2.5'$"):
+        parse_setting("workers", "2.5", "$GA_WORKERS")
+    with pytest.raises(ConfigurationError, match="--higher-is-better needs 1/true/yes or 0/false/no"):
+        parse_setting("higher_is_better", "on", "--higher-is-better")
 
 
 def test_load_config_validates_final_result(tmp_path):

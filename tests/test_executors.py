@@ -133,6 +133,13 @@ def test_sim_params_partial_override_keeps_other_operators():
     assert params.gain_mean[Op.CONTINUE] == SimModelParams().gain_mean[Op.CONTINUE]
 
 
+def test_sim_params_read_ints_as_floats():
+    params = SimModelParams.from_dict({"base_mean": 1, "gain_sd": {"eda": 0}})
+    assert params.base_mean == 1.0 and type(params.base_mean) is float
+    assert type(params.gain_sd[Op.EDA]) is float
+    assert params.to_dict()["base_mean"] == 1.0
+
+
 # -- simulated executor ----------------------------------------------
 
 

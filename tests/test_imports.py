@@ -177,3 +177,25 @@ def test_every_run_config_field_is_read():
     assert "population_size" in reads.found  # the collector sees real reads
     unread = sorted(f.name for f in fields(RunConfig) if f.name not in reads.found)
     assert unread == [], f"RunConfig fields nothing reads: {unread}"
+
+
+def test_benchmark_trace_hooks_find_every_name(monkeypatch):
+    """perfbench's traced run wraps functions by name where their callers
+    look them up; a rename in the package would break it."""
+    monkeypatch.syspath_prepend(str(SRC.parents[1] / "perfbench"))
+    helpers = ("workloads", "tracing", "checks", "inputs", "hostspeed")
+    try:
+        import tracing
+        import workloads
+
+        group_messages = workloads.compression.group_messages
+        tracer = tracing.Tracer()
+        try:
+            workloads.install(tracer)  # AttributeError on a name it cannot find
+            assert workloads.compression.group_messages is not group_messages
+        finally:
+            tracer.restore()
+        assert workloads.compression.group_messages is group_messages
+    finally:
+        for name in helpers:
+            sys.modules.pop(name, None)

@@ -249,6 +249,34 @@ def test_archive_run_skips_dangling_symlink(tmp_path):
     assert store.resolve_archive(ref.id) == ref
 
 
+def test_archive_run_keeps_no_symlink(tmp_path):
+    outside = build_tree(tmp_path / "task_data", {"train.csv": "x" * 4096, "sub/more.csv": "y"})
+    store = store_with_run(tmp_path)
+    workspace = store.workspace_path(1, 0)
+    (workspace / "solution" / "data").symlink_to(outside, target_is_directory=True)
+    (workspace / "logs" / "train.csv").symlink_to(outside / "train.csv")
+    ref = archive(store, verified_outcome())
+    archived = sorted(str(p.relative_to(ref.path)) for p in ref.path.rglob("*"))
+    assert "solution/data" not in archived and "logs/train.csv" not in archived
+    assert (ref.path / "solution/model.py").read_text() == "m"
+    assert not any(p.is_symlink() for p in ref.path.rglob("*"))
+
+    seed = AgentSeed(Op.CONTINUE, 0, (ref,), {"iteration": 2})
+    copied = materialize_seed(seed, tmp_path / "ws") / "Previous Experiments/parent_0"
+    assert (copied / "solution/model.py").exists()
+    assert not (copied / "solution/data").exists()
+    assert not (copied / "logs/train.csv").exists()
+
+
+def test_archive_run_skips_linked_solution_dir(tmp_path):
+    outside = build_tree(tmp_path / "elsewhere", {"big.bin": "z"})
+    store = store_with_run(tmp_path, {"logs/run.log": "log line"})
+    (store.workspace_path(1, 0) / "solution").symlink_to(outside, target_is_directory=True)
+    ref = archive(store, verified_outcome())
+    assert list((ref.path / "solution").iterdir()) == []
+    assert (ref.path / "logs/run.log").read_text() == "log line"
+
+
 def test_archive_creates_empty_dirs_when_workspace_lacks_them(tmp_path):
     ref = archive(store_with_run(tmp_path, files={}), verified_outcome())
     assert (ref.path / "solution").is_dir()
