@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 configuration error, 2 runtime failure,
 3 corrupt persisted state.
+
+Each handler imports the package modules it runs, so a command loads
+only what it uses: `compress` never loads the engine.
 """
 
 from __future__ import annotations
@@ -13,14 +16,13 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import compression, reporting
 from .config import SETTINGS, load_config, parse_setting, read_json_object
-from .engine import EvolutionEngine
 from .errors import ConfigurationError, CorruptStateError, SeedevoError
-from .events import read_events
-from .executors import SimModelParams, build_executor
-from .workspace import RunStore
+
+if TYPE_CHECKING:
+    from .engine import EvolutionEngine
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -124,6 +126,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.print_config:
         print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK
+    from .engine import EvolutionEngine
+    from .executors import build_executor
+
     executor = build_executor(config)
     args.output.mkdir(parents=True, exist_ok=True)
     with _sole_writer(args.output):
@@ -132,6 +137,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
+    from .engine import EvolutionEngine
+    from .workspace import RunStore
+
     RunStore.open(args.output)  # a root that holds no run exits 3, untouched
     with _sole_writer(args.output):
         engine = EvolutionEngine.resume(args.output)
@@ -154,6 +162,10 @@ def _run_to_end(engine: EvolutionEngine, output_root: Path) -> int:
 
 
 def _write_report(output_root: Path, fmt: str, dest: Path) -> list[Path]:
+    from . import reporting
+    from .events import read_events
+    from .workspace import RunStore
+
     store = RunStore.open(output_root)
     events, skipped = read_events(store.events_path)
     if skipped:
@@ -173,6 +185,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import reporting
+    from .engine import EvolutionEngine
+    from .events import read_events
+    from .executors import SimModelParams, build_executor
+
     raw_params = read_json_object(args.params, "params") if args.params else {}
     params = SimModelParams.from_dict(raw_params)
 
@@ -219,6 +236,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_compress(args: argparse.Namespace) -> int:
+    from . import compression
+
     try:
         budget = compression.BudgetConfig(
             trigger_tokens=args.trigger_tokens,

@@ -19,14 +19,13 @@ message's count is taken on first use and cached on the message.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 TokenCounter = Callable[[str], int]
 Summarizer = Callable[[str], str]
@@ -61,18 +60,23 @@ class SelectionStatus(str, Enum):
     DROP = "drop"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Message:
     """One transcript entry; create copies the tool-call arguments with
     their keys and values as strings.  token_count is the configured
     counter applied to the text plus any tool-call keys and values; each
-    piece is counted on first use and its count cached on the message."""
+    piece is counted on first use and its count cached on the message.
+
+    Not frozen: a frozen dataclass sets each field through
+    object.__setattr__, which makes building one cost about four times
+    as much, and transcripts build thousands."""
 
     id: int
     role: str
     text: str
     tool_call_args: dict[str, str] | None
     counter: TokenCounter = field(compare=False, repr=False)
+    _pieces: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def create(
@@ -88,20 +92,21 @@ class Message:
         args = {str(k): str(v) for k, v in tool_call_args.items()} if tool_call_args else None
         return cls(id, role, text, args, counter)
 
-    @functools.cached_property
+    @property
     def _piece_tokens(self) -> tuple[int, ...]:
         """The counts of the text, then of each tool-call key and value
         in argument order."""
-        counter = self.counter
-        pieces = [counter(self.text)]
-        for key, value in (self.tool_call_args or {}).items():
-            pieces += (counter(key), counter(value))
-        return tuple(pieces)
+        if self._pieces is None:
+            counter = self.counter
+            pieces = [counter(self.text)]
+            for key, value in (self.tool_call_args or {}).items():
+                pieces += (counter(key), counter(value))
+            self._pieces = tuple(pieces)
+        return self._pieces
 
     @property
     def token_count(self) -> int:
-        # not cached itself: a second cached entry would grow every
-        # message's attribute dict
+        # summed on each read: a cached total would be a second copy of _pieces
         return sum(self._piece_tokens)
 
     @property
@@ -128,8 +133,7 @@ class CompressedForm:
     token_count: int
 
 
-@dataclass(frozen=True)
-class MessageGroup:
+class MessageGroup(NamedTuple):
     """Atomic selection unit: either a single message, or an AI
     tool-call message fused with its tool responses."""
 
@@ -175,6 +179,7 @@ class MessageHistory:
         self.diagnostics: list[str] = []
         self.groups: list[list[int]] = []
         self.orphans: list[int] = []
+        self._open_tool_call = False  # the last group is a tool call
 
     def add(
         self,
@@ -192,12 +197,13 @@ class MessageHistory:
         msg = Message.create(msg_id, role, text, tool_call_args, self.counter)
         self._positions[msg_id] = len(self.messages)
         self.messages.append(msg)
-        if role == "tool" and self.groups and self.get(self.groups[-1][0]).is_tool_call:
+        if role == "tool" and self._open_tool_call:
             self.groups[-1].append(msg_id)
         else:
             if role == "tool":
                 self.orphans.append(msg_id)
             self.groups.append([msg_id])
+            self._open_tool_call = msg.is_tool_call
         return msg
 
     def get(self, msg_id: int) -> Message:
@@ -208,7 +214,7 @@ def group_messages(history: MessageHistory) -> list[MessageGroup]:
     """The transcript's atomic groups, in order; every call reports each
     orphan tool message in the diagnostics."""
     history.diagnostics.extend(f"orphan tool message {mid}" for mid in history.orphans)
-    return [MessageGroup(member_ids=tuple(ids)) for ids in history.groups]
+    return [MessageGroup(tuple(ids)) for ids in history.groups]
 
 
 def compress_pending(

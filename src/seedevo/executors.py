@@ -9,9 +9,11 @@ execute() shape plugs in.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import signal
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -228,10 +230,13 @@ class ExternalCommandExecutor:
     """Runs a real command inside the workspace and collects results.
 
     The command is launched with the workspace as its working directory
-    and the seed manifest path in its environment.  After it exits (or
-    times out), every Experiments/main_training/*/results.json is
-    parsed; the outcome is verified as soon as one experiment parses,
-    regardless of exit status.  Never raises into the engine.
+    and the seed manifest path in its environment, as the leader of a
+    new session.  When it exits or times out, every process left in that
+    session's process group is killed, so nothing it started in the
+    background writes into the workspace after the slot ends.  Then
+    every Experiments/main_training/*/results.json is parsed; the
+    outcome is verified as soon as one experiment parses, regardless of
+    exit status.  Never raises into the engine.
     """
 
     def __init__(
@@ -269,22 +274,30 @@ class ExternalCommandExecutor:
         env[ENV_WORKSPACE] = str(workspace)
 
         try:
-            proc = subprocess.run(
+            proc = subprocess.Popen(
                 argv,
                 cwd=workspace,
                 env=env,
-                timeout=self.timeout_seconds,
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
             )
-            if proc.returncode != 0:
-                diagnostics["exit_code"] = str(proc.returncode)
-                tail = proc.stderr.decode("utf-8", "replace")[-500:]
-                if tail:
-                    diagnostics["stderr_tail"] = tail
-        except subprocess.TimeoutExpired:
-            diagnostics["timeout"] = f"killed after {self.timeout_seconds}s"
         except OSError as exc:
             return RunOutcome.failure(spawn=str(exc))
+        with proc:  # on leaving, waits for the command
+            try:
+                _, stderr = proc.communicate(timeout=self.timeout_seconds)
+            except subprocess.TimeoutExpired:
+                diagnostics["timeout"] = f"killed after {self.timeout_seconds}s"
+            else:
+                if proc.returncode != 0:
+                    diagnostics["exit_code"] = str(proc.returncode)
+                    tail = stderr.decode("utf-8", "replace")[-500:]
+                    if tail:
+                        diagnostics["stderr_tail"] = tail
+            finally:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
 
         records, parse_diags = parse_experiment_results(workspace)
         diagnostics.update(parse_diags)

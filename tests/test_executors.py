@@ -312,6 +312,26 @@ def test_external_timeout_kills_promptly(tmp_path):
     assert "timeout" in out.diagnostics
 
 
+@pytest.mark.parametrize(
+    "script, timeout",
+    [
+        # times out while a background job still sleeps
+        ("(sleep 0.3; touch late) & sleep 30", 0.2),
+        # exits at once, leaving a detached background job
+        ("(sleep 0.3; touch late) >/dev/null 2>&1 &", 60.0),
+    ],
+    ids=["timeout", "normal-exit"],
+)
+def test_external_command_leaves_no_process_behind(tmp_path, script, timeout):
+    ws = make_workspace(tmp_path)
+    executor = ExternalCommandExecutor(["sh", "-c", script], HIGHER, timeout_seconds=timeout)
+    start = time.monotonic()
+    executor.execute(sim_seed(), ws)
+    assert time.monotonic() - start < 5.0
+    time.sleep(1.0)  # well past the background job's own sleep
+    assert not (ws / "late").exists()
+
+
 def test_external_spawn_failure(tmp_path):
     executor = ExternalCommandExecutor(["/nonexistent/binary"], HIGHER)
     out = executor.execute(sim_seed(), make_workspace(tmp_path))

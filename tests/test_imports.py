@@ -5,9 +5,10 @@ src/seedevo/*.py is parsed with ast; imports at module level and inside
 functions both count, imports under `if TYPE_CHECKING:` do not (they
 never run).  The package root imports nothing: each name is imported
 from the module that defines it, so importing one module loads only
-what that module needs.  And every RunConfig field must be read
-somewhere outside the code that checks and serializes it, so no
-setting silently does nothing.
+what that module needs.  The command line loads only what parsing
+needs, and each command adds only the modules it runs.  And every
+RunConfig field must be read somewhere outside the code that checks
+and serializes it, so no setting silently does nothing.
 """
 
 from __future__ import annotations
@@ -19,10 +20,17 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 from seedevo.config import RunConfig
 
 PACKAGE = "seedevo"
 SRC = Path(__file__).resolve().parents[1] / "src" / PACKAGE
+GOLDEN_TRANSCRIPT = Path(__file__).resolve().parent / "data" / "compress_golden.jsonl"
+
+#: Standard modules the engine side needs and neither parsing nor the
+#: compressor does; each costs start-up time on every command.
+ENGINE_ONLY_STDLIB = {"logging", "concurrent.futures", "subprocess", "statistics", "hashlib", "csv"}
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -135,15 +143,58 @@ def test_package_root_imports_nothing():
     assert ast.get_docstring(tree)
 
 
-def test_compression_loads_no_other_package_module():
-    code = (
-        "import sys, seedevo.compression\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('seedevo'))))"
+def modules_loaded(*steps: str) -> list[set[str]]:
+    """Run the steps in order in one fresh interpreter; for each, the
+    modules it added to sys.modules.  The first baseline is taken before
+    any step, since site preloads some modules on some machines."""
+    code = "import sys\nloaded = [set(sys.modules)]\n"
+    for step in steps:
+        code += f"{step}\nloaded.append(set(sys.modules))\n"
+    code += (
+        "for old, new in zip(loaded, loaded[1:]):\n"
+        "    print(' '.join(sorted(new - old)), file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out.split() == ["seedevo", "seedevo.compression"]
+    err = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stderr
+    return [set(line.split()) for line in err.splitlines()]
+
+
+def package_modules(modules: set[str]) -> list[str]:
+    return sorted(m for m in modules if m.split(".")[0] == PACKAGE)
+
+
+def test_compression_loads_no_other_package_module():
+    (loaded,) = modules_loaded("import seedevo.compression")
+    assert package_modules(loaded) == ["seedevo", "seedevo.compression"]
+
+
+def test_cli_loads_only_what_parsing_needs():
+    (cli,) = modules_loaded("import seedevo.cli")
+    assert package_modules(cli) == [
+        "seedevo", "seedevo.cli", "seedevo.config", "seedevo.errors",
+        "seedevo.hedge", "seedevo.operators",
+    ]
+    assert cli & ENGINE_ONLY_STDLIB == set()
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        (["compress", str(GOLDEN_TRANSCRIPT), "--rendered", "{tmp}/rendered.jsonl"],
+         ["seedevo.compression"]),
+        (["run", "--output", "{tmp}/root", "--print-config"], []),
+    ],
+    ids=["compress", "print-config"],
+)
+def test_command_loads_only_what_it_runs(tmp_path, argv, added):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    cli, command = modules_loaded(
+        "import seedevo.cli",
+        f"assert seedevo.cli.main({argv!r}) == 0",
+    )
+    assert package_modules(command) == added
+    assert (cli | command) & ENGINE_ONLY_STDLIB == set()
 
 
 class _AttributeReads(ast.NodeVisitor):
