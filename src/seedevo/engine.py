@@ -2,12 +2,13 @@
 
 Each iteration snapshots the elite pool, plans one seed per slot
 (operator sampled from the allocator, parents selected from the
-snapshot), dispatches all slots in parallel, then settles results at a
-barrier: verified children are archived, each child meets the previous
+snapshot), and dispatches all slots in parallel; each worker archives
+its own verified child.  At the barrier each child meets the previous
 elite of its own slot in a 1:1 tournament, and only a strictly better
 child replaces the incumbent.  Observed improvements feed the
-allocator; the best pool score feeds the stopping rule; a checkpoint is
-written after every iteration.
+allocator; the best pool score feeds the stopping rule; the
+iteration's events go to the log in one durable append, and a
+checkpoint recording the log's end offset follows.
 
 A run's settings live only in run_config.json, and an elite only in
 its archive's manifest.  Starting and resuming build the pool, the
@@ -34,6 +35,7 @@ from .operators import Operator
 from .rng import derive_rng
 from .scoring import MetricDirection, better, improvement
 from .workspace import (
+    AgentSeed,
     ArchiveRef,
     Checkpoint,
     CurationRules,
@@ -79,25 +81,6 @@ class ElitePool:
             if entry is not None and entry.slot != slot:
                 raise ValueError(f"slot {slot} holds {entry.id} of slot {entry.slot}")
         self.entries = entries
-
-
-@dataclass(frozen=True)
-class AgentSeed:
-    """Everything one run starts from: a task operator, the parent
-    archives it may build on, and task-template parameters."""
-
-    operator: Operator
-    slot: int
-    parents: tuple[ArchiveRef, ...]
-    context_params: dict
-
-    def __post_init__(self):
-        if self.operator is Operator.INITIAL and self.parents:
-            raise ConfigurationError("parents", "initial seeds take no parents")
-        if self.operator is Operator.MERGE and len(self.parents) != 2:
-            raise ConfigurationError("parents", f"merge needs 2 parents, got {len(self.parents)}")
-        if self.operator not in (Operator.INITIAL, Operator.MERGE) and len(self.parents) < 1:
-            raise ConfigurationError("parents", f"{self.operator} needs at least one parent")
 
 
 @dataclass(frozen=True)
@@ -313,17 +296,15 @@ class EvolutionEngine:
         t = self.iteration + 1
         previous = list(self.pool.entries)
         seeds = plan_iteration(previous, self.hedge_state, t, self.config)
-        outcomes = self._dispatch(seeds, t)
+        candidates = self._dispatch(seeds, t)
 
         tournaments: list[dict] = []
         gains: list[ObservedGain] = []
         direction = self.pool.direction
-        for seed, outcome in zip(seeds, outcomes):
-            candidate = self._admit(seed, outcome, t)
-            incumbent = previous[seed.slot]
+        for seed, candidate in zip(seeds, candidates):
             winner, event = resolve_tournament(
                 candidate,
-                incumbent,
+                previous[seed.slot],
                 direction,
                 iteration=t,
                 operator=seed.operator,
@@ -342,17 +323,14 @@ class EvolutionEngine:
         iteration_best = best.score if best else None
         self.stopping, stop = update_stopping(self.stopping, iteration_best, t, direction)
 
-        for event in tournaments:
-            self.events.append(event)
         probs = hedgemod.sampling_probabilities(self.hedge_state)
-        self.events.append(
+        offset = self.events.append(
+            *tournaments,
             {
                 "type": "hedge",
                 "iteration": t,
                 "probabilities": {op.value: p for op, p in probs.items()},
-            }
-        )
-        self.events.append(
+            },
             {
                 "type": "stopping",
                 "iteration": t,
@@ -360,12 +338,12 @@ class EvolutionEngine:
                 "best_so_far": self.stopping.best_so_far,
                 "stagnation": self.stopping.stagnation_count,
                 "stop": stop,
-            }
+            },
         )
 
         self.iteration = t
         self.stopped = stop
-        self._checkpoint()
+        self._checkpoint(offset)
         return stop
 
     def run(self) -> ArchiveRef | None:
@@ -376,11 +354,12 @@ class EvolutionEngine:
 
     # -- internals ----------------------------------------------------
 
-    def _dispatch(self, seeds: list[AgentSeed], iteration: int):
-        """Materialize and execute every slot, workers in parallel.
+    def _dispatch(self, seeds: list[AgentSeed], iteration: int) -> list[ArchiveRef | None]:
+        """Materialize, execute and archive every slot, workers in
+        parallel.
 
-        Results come back in slot order.  Executor failures of any kind
-        are contained to their slot as an invalid child.
+        Candidates come back in slot order.  Executor failures of any
+        kind are contained to their slot as an invalid child.
         """
         rules = CurationRules(
             max_file_bytes=self.config.max_file_bytes,
@@ -398,10 +377,11 @@ class EvolutionEngine:
                 rules=rules,
             )
             try:
-                return self.executor.execute(seed, workspace)
+                outcome = self.executor.execute(seed, workspace)
             except Exception as exc:  # transport failure: invalid child, not a crash
                 logger.warning("slot %d executor failure: %s", seed.slot, exc)
                 return None
+            return self._admit(seed, outcome, iteration)
 
         with ThreadPoolExecutor(max_workers=self.config.workers) as tpe:
             return list(tpe.map(run_slot, seeds))
@@ -420,7 +400,9 @@ class EvolutionEngine:
             slot=seed.slot,
         )
 
-    def _checkpoint(self) -> None:
+    def _checkpoint(self, event_log_offset: int) -> None:
+        """Save the run state; event_log_offset is the durable end of
+        the log that append() returned."""
         ckpt = Checkpoint(
             iteration=self.iteration,
             pool=[e.id if e else None for e in self.pool.entries],
@@ -429,8 +411,7 @@ class EvolutionEngine:
                 "best_so_far": self.stopping.best_so_far,
                 "stagnation_count": self.stopping.stagnation_count,
             },
-            event_log_offset=self.events.size(),
+            event_log_offset=event_log_offset,
             stopped=self.stopped,
         )
-        self.events.sync()
         save_checkpoint(self.store.checkpoint_path, ckpt)

@@ -26,21 +26,15 @@ class EventLog:
     def __init__(self, path: Path):
         self.path = Path(path)
 
-    def append(self, event: dict) -> None:
-        data = encode_event(event)
+    def append(self, *events: dict) -> int:
+        """Write the events in one durable append and return the log's
+        end offset.  Every byte before that offset is on disk when this
+        returns, so a checkpoint that records it never runs past them."""
         with open(self.path, "ab") as fh:
-            fh.write(data)
+            fh.write(b"".join(map(encode_event, events)))
             fh.flush()
-
-    def size(self) -> int:
-        return self.path.stat().st_size if self.path.exists() else 0
-
-    def sync(self) -> None:
-        """Make every appended event durable.  Called before a
-        checkpoint records size(), so that offset never runs past the
-        bytes on disk."""
-        with open(self.path, "ab") as fh:
             os.fsync(fh.fileno())
+            return fh.tell()
 
     def truncate_to(self, offset: int) -> None:
         """Drop any events written after the given byte offset.

@@ -24,10 +24,10 @@ from .errors import ConfigurationError
 from .operators import Operator
 from .rng import derive_rng
 from .scoring import MetricDirection, better
+from .workspace import AgentSeed
 
 if TYPE_CHECKING:
     from .config import RunConfig
-    from .engine import AgentSeed
 
 #: Where external runs leave their per-experiment result files,
 #: relative to the workspace.
@@ -185,7 +185,7 @@ class SimulatedExecutor:
         self.params = params
         self.master_seed = master_seed
 
-    def execute(self, seed: "AgentSeed", workspace: Path) -> RunOutcome:
+    def execute(self, seed: AgentSeed, workspace: Path) -> RunOutcome:
         p = self.params
         iteration = seed.context_params.get("iteration", 0)
         rng = derive_rng(self.master_seed, "sim", iteration, seed.slot)
@@ -231,9 +231,11 @@ class ExternalCommandExecutor:
 
     The command is launched with the workspace as its working directory
     and the seed manifest path in its environment, as the leader of a
-    new session.  When it exits or times out, every process left in that
-    session's process group is killed, so nothing it started in the
-    background writes into the workspace after the slot ends.  Then
+    new session, its stdout and stderr going to logs/stdout.log and
+    logs/stderr.log, which the archive keeps.  Only the command itself
+    is waited for.  When it exits or times out, every process left in
+    that session's process group is killed, so nothing it started in
+    the background writes into the workspace after the slot ends.  Then
     every Experiments/main_training/*/results.json is parsed; the
     outcome is verified as soon as one experiment parses, regardless of
     exit status.  Never raises into the engine.
@@ -251,7 +253,7 @@ class ExternalCommandExecutor:
         self.direction = direction
         self.timeout_seconds = timeout_seconds
 
-    def execute(self, seed: "AgentSeed", workspace: Path) -> RunOutcome:
+    def execute(self, seed: AgentSeed, workspace: Path) -> RunOutcome:
         workspace = Path(workspace)
         manifest = workspace / "seed_manifest.json"
         substitutions = {
@@ -273,31 +275,31 @@ class ExternalCommandExecutor:
         env[ENV_SEED_MANIFEST] = str(manifest)
         env[ENV_WORKSPACE] = str(workspace)
 
+        logs = workspace / "logs"
         try:
-            proc = subprocess.Popen(
-                argv,
-                cwd=workspace,
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                start_new_session=True,
-            )
+            logs.mkdir(exist_ok=True)
+            # the command holds its own copies of the two descriptors
+            with open(logs / "stdout.log", "wb") as out, open(logs / "stderr.log", "wb") as err:
+                proc = subprocess.Popen(
+                    argv, cwd=workspace, env=env, stdout=out, stderr=err, start_new_session=True
+                )
         except OSError as exc:
             return RunOutcome.failure(spawn=str(exc))
         with proc:  # on leaving, waits for the command
             try:
-                _, stderr = proc.communicate(timeout=self.timeout_seconds)
+                # the command alone: a background job it started may
+                # hold its output files open, but is killed below
+                proc.wait(timeout=self.timeout_seconds)
             except subprocess.TimeoutExpired:
                 diagnostics["timeout"] = f"killed after {self.timeout_seconds}s"
-            else:
-                if proc.returncode != 0:
-                    diagnostics["exit_code"] = str(proc.returncode)
-                    tail = stderr.decode("utf-8", "replace")[-500:]
-                    if tail:
-                        diagnostics["stderr_tail"] = tail
             finally:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
+        if "timeout" not in diagnostics and proc.returncode != 0:
+            diagnostics["exit_code"] = str(proc.returncode)
+            tail = _tail(logs / "stderr.log", 500)
+            if tail:
+                diagnostics["stderr_tail"] = tail
 
         records, parse_diags = parse_experiment_results(workspace)
         diagnostics.update(parse_diags)
@@ -308,6 +310,17 @@ class ExternalCommandExecutor:
             if better(rec.score, best, self.direction):
                 best = rec.score
         return RunOutcome(score=best, experiments=records, verified=True, diagnostics=diagnostics)
+
+
+def _tail(path: Path, chars: int) -> str:
+    """The last chars characters of a UTF-8 file, read from its end: a
+    character takes at most 4 bytes, and a cut one at most 3 more."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(max(0, fh.seek(0, os.SEEK_END) - 4 * chars - 3))
+            return fh.read().decode("utf-8", "replace")[-chars:]
+    except OSError:
+        return ""
 
 
 def parse_experiment_results(workspace: Path) -> tuple[tuple[ExperimentRecord, ...], dict]:

@@ -37,13 +37,9 @@ import shutil
 from dataclasses import asdict, dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-from .errors import ArchiveError, CorruptStateError, MaterializationError
+from .errors import ArchiveError, ConfigurationError, CorruptStateError, MaterializationError
 from .operators import Operator
-
-if TYPE_CHECKING:
-    from .executors import RunOutcome
 
 #: Version of archive and seed manifests.
 SCHEMA_VERSION = 1
@@ -87,6 +83,25 @@ class ArchiveRef:
 
 
 @dataclass(frozen=True)
+class AgentSeed:
+    """Everything one run starts from: a task operator, the parent
+    archives it may build on, and task-template parameters."""
+
+    operator: Operator
+    slot: int
+    parents: tuple[ArchiveRef, ...]
+    context_params: dict
+
+    def __post_init__(self):
+        if self.operator is Operator.INITIAL and self.parents:
+            raise ConfigurationError("parents", "initial seeds take no parents")
+        if self.operator is Operator.MERGE and len(self.parents) != 2:
+            raise ConfigurationError("parents", f"merge needs 2 parents, got {len(self.parents)}")
+        if self.operator not in (Operator.INITIAL, Operator.MERGE) and len(self.parents) < 1:
+            raise ConfigurationError("parents", f"{self.operator} needs at least one parent")
+
+
+@dataclass(frozen=True)
 class CurationRules:
     """What a curated parent copy leaves out, besides PARENT_DIR_NAME."""
 
@@ -94,69 +109,55 @@ class CurationRules:
     max_file_bytes: int = 64 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class CopyPlan:
-    """Deterministic list of relative paths to copy, plus warnings for
-    entries that could not be inspected."""
+def curate_parent_archive(source: Path, dest: Path, rules: CurationRules) -> list[str]:
+    """Copy one archive into dest, curated, and return the warnings.
 
-    entries: tuple[str, ...]
-    warnings: tuple[str, ...] = ()
-
-
-def curate_parent_archive(source: Path, rules: CurationRules) -> CopyPlan:
-    """Plan a curated copy of one archive.
-
-    Walks the source tree, dropping PARENT_DIR_NAME directories at any
-    depth, glob-matched relative paths, and files over the byte cap.
-    Pure: nothing is copied here.  Entries come back sorted so copies
-    are reproducible.
+    Walks the source tree in name order, dropping PARENT_DIR_NAME
+    directories at any depth, glob-matched relative paths, and files
+    over the byte cap; an entry that cannot be inspected becomes a
+    warning.  dest is created, and under it a directory only for the
+    files copied into it.
     """
-    source = Path(source)
+    source, dest = Path(source), Path(dest)
     if not source.is_dir():
         raise ArchiveError(f"parent archive not found: {source}")
-    entries: list[str] = []
+    dest.mkdir(parents=True)
     warnings: list[str] = []
 
-    def walk(rel: Path) -> None:
-        node = source / rel
+    def walk(rel: str) -> None:
         try:
-            children = sorted(os.listdir(node))
+            with os.scandir(source / rel) as it:
+                children = sorted(it, key=lambda entry: entry.name)
         except OSError as exc:
-            warnings.append(f"unreadable directory {rel.as_posix() or '.'}: {exc}")
+            warnings.append(f"unreadable directory {rel or '.'}: {exc}")
             return
-        for name in children:
-            child_rel = rel / name
-            child = source / child_rel
-            if child.is_dir() and not child.is_symlink():
-                if name == PARENT_DIR_NAME:
-                    continue
-                walk(child_rel)
+        made = False
+        for entry in children:
+            child_rel = f"{rel}/{entry.name}" if rel else entry.name
+            if entry.is_dir(follow_symlinks=False):
+                if entry.name != PARENT_DIR_NAME:
+                    walk(child_rel)
                 continue
-            rel_posix = child_rel.as_posix()
-            if any(fnmatch(rel_posix, pat) for pat in rules.excluded_globs):
+            if any(fnmatch(child_rel, pat) for pat in rules.excluded_globs):
                 continue
             try:
-                size = child.stat().st_size
+                size = entry.stat().st_size
             except OSError as exc:
-                warnings.append(f"unreadable entry {rel_posix}: {exc}")
+                warnings.append(f"unreadable entry {child_rel}: {exc}")
                 continue
             if size > rules.max_file_bytes:
                 continue
-            entries.append(rel_posix)
+            if not made:
+                (dest / rel).mkdir(parents=True, exist_ok=True)
+                made = True
+            shutil.copyfile(entry.path, dest / child_rel)
 
-    walk(Path())
-    return CopyPlan(entries=tuple(sorted(entries)), warnings=tuple(warnings))
-
-
-def _execute_plan(source: Path, dest: Path, plan: CopyPlan) -> None:
-    for rel in plan.entries:
-        target = dest / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(source / rel, target)
+    walk("")
+    return warnings
 
 
 def materialize_seed(
-    seed,
+    seed: AgentSeed,
     workspace: Path,
     data_source: Path | None = None,
     provisioning: str = "link",
@@ -189,11 +190,8 @@ def materialize_seed(
 
     warnings: list[str] = []
     for i, parent in enumerate(seed.parents):
-        plan = curate_parent_archive(parent.path, rules)
         dest = workspace / PARENT_DIR_NAME / f"parent_{i}"
-        dest.mkdir(parents=True)
-        _execute_plan(parent.path, dest, plan)
-        warnings.extend(plan.warnings)
+        warnings.extend(curate_parent_archive(parent.path, dest, rules))
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -357,14 +355,14 @@ class RunStore:
 
     def archive_run(
         self,
-        outcome: "RunOutcome",
+        outcome,
         operator: Operator,
         parent_ids: list[str],
         iteration: int,
         slot: int,
     ) -> ArchiveRef:
-        """Freeze the verified run of one (iteration, slot) into its
-        immutable archive directory.
+        """Freeze the verified RunOutcome of one (iteration, slot) into
+        its immutable archive directory.
 
         Captures the per-experiment records, the workspace's solution/
         and logs/ trees when present (less every symlink, whose target

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -551,21 +552,57 @@ def test_interrupt_resume_equivalence(tmp_path):
     assert resumed.pool.best().score == full.pool.best().score
 
 
-def test_event_log_synced_before_each_checkpoint(tmp_path, monkeypatch):
+def trace_event_log(engine: EvolutionEngine, monkeypatch) -> list[str]:
+    """Record, in order, each open and each fsync of the engine's event
+    log ("open", "fsync") and each checkpoint save ("checkpoint")."""
     import seedevo.engine as engine_module
+    import seedevo.events as events_module
 
-    calls = []
-    real_save = engine_module.save_checkpoint
-    monkeypatch.setattr(
-        engine_module, "save_checkpoint",
-        lambda path, ckpt: (calls.append("checkpoint"), real_save(path, ckpt)),
-    )
+    calls: list[str] = []
+    path = engine.events.path
+    real_save, real_fsync = engine_module.save_checkpoint, os.fsync
+
+    def save(target, ckpt):
+        calls.append("checkpoint")
+        real_save(target, ckpt)
+
+    def fsync(fd):
+        if path.exists() and os.path.samestat(os.fstat(fd), path.stat()):
+            calls.append("fsync")
+        real_fsync(fd)
+
+    def log_open(file, *args, **kwargs):
+        if Path(file) == path:
+            calls.append("open")
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "save_checkpoint", save)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(events_module, "open", log_open, raising=False)
+    return calls
+
+
+def test_event_log_synced_before_each_checkpoint(tmp_path, monkeypatch):
     config = single_slot_config(max_iterations=2, master_seed=13)
     engine = EvolutionEngine.start(config, ScriptedExecutor({(1, 0): 0.5}), tmp_path / "run")
-    real_sync = engine.events.sync
-    monkeypatch.setattr(engine.events, "sync", lambda: (calls.append("sync"), real_sync()))
+    calls = trace_event_log(engine, monkeypatch)
     engine.run()
-    assert calls == ["sync", "checkpoint"] * 2
+    assert [c for c in calls if c != "open"] == ["fsync", "checkpoint"] * 2
+
+
+def test_step_writes_the_event_log_once(tmp_path, monkeypatch):
+    config = RunConfig(population_size=3, workers=2, master_seed=5, max_iterations=3, patience=50)
+    engine = sim_engine(config, tmp_path / "run")
+    calls = trace_event_log(engine, monkeypatch)
+    for _ in range(3):
+        calls.clear()
+        engine.step()
+        # five events (three tournaments, hedge, stopping), one write
+        assert calls == ["open", "fsync", "checkpoint"]
+        raw = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+        assert raw["event_log_offset"] == engine.events.path.stat().st_size
+    events, _ = read_events(engine.events.path)
+    assert len(events) == 3 * 5
 
 
 def test_renamed_finished_root_resumes_as_complete(tmp_path):

@@ -46,23 +46,33 @@ def test_read_events_skips_malformed_lines(tmp_path):
     assert skipped == 3
 
 
+def test_append_returns_the_end_offset(tmp_path):
+    log = EventLog(tmp_path / "events.jsonl")  # no file yet
+    a, b, c = {"type": "a"}, {"type": "b", "n": 1}, {"type": "c"}
+    first = log.append(a)
+    assert first == len(encode_event(a))
+    end = log.append(b, c)  # several events, one append
+    assert end == first + len(encode_event(b)) + len(encode_event(c))
+    assert log.path.read_bytes() == encode_event(a) + encode_event(b) + encode_event(c)
+    assert log.append() == end == log.path.stat().st_size
+
+
 def test_truncate_drops_suffix_only(tmp_path):
     log = EventLog(tmp_path / "events.jsonl")
-    log.append({"type": "a"})
-    keep = log.size()
+    keep = log.append({"type": "a"})
     log.append({"type": "b"})
     log.truncate_to(keep)
     events, _ = read_events(log.path)
     assert [e["type"] for e in events] == ["a"]
     log.truncate_to(keep)  # idempotent at the same offset
-    assert log.size() == keep
+    assert log.path.stat().st_size == keep
 
 
 def test_truncate_beyond_size_is_an_error(tmp_path):
     log = EventLog(tmp_path / "events.jsonl")
-    log.append({"type": "a"})
+    end = log.append({"type": "a"})
     with pytest.raises(CorruptStateError):
-        log.truncate_to(log.size() + 100)
+        log.truncate_to(end + 100)
 
 
 def test_truncate_missing_file(tmp_path):
@@ -70,10 +80,6 @@ def test_truncate_missing_file(tmp_path):
     log.truncate_to(0)  # fine: nothing to drop
     with pytest.raises(CorruptStateError):
         log.truncate_to(10)
-
-
-def test_size_of_missing_file_is_zero(tmp_path):
-    assert EventLog(tmp_path / "none.jsonl").size() == 0
 
 
 # -- rng derivation --------------------------------------------------

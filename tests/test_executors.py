@@ -332,6 +332,40 @@ def test_external_command_leaves_no_process_behind(tmp_path, script, timeout):
     assert not (ws / "late").exists()
 
 
+def test_external_background_job_holding_output_does_not_stall(tmp_path):
+    # the background job inherits the command's stdout and stderr; the
+    # slot ends when the command exits, not when the job lets go of them
+    script = (
+        "mkdir -p Experiments/main_training/run_1 && "
+        "echo '{\"run_name\": \"run_1\", \"score\": 0.7}' "
+        "> Experiments/main_training/run_1/results.json; (sleep 5) & exit 0"
+    )
+    executor = ExternalCommandExecutor(["sh", "-c", script], HIGHER, timeout_seconds=2)
+    start = time.monotonic()
+    out = executor.execute(sim_seed(), make_workspace(tmp_path))
+    assert time.monotonic() - start < 1.0
+    assert "timeout" not in out.diagnostics
+    assert out.verified and out.score == 0.7
+
+
+def test_external_output_goes_to_workspace_logs(tmp_path):
+    ws = make_workspace(tmp_path)
+    script = "echo to-out; echo to-err >&2; exit 4"
+    out = ExternalCommandExecutor(["sh", "-c", script], HIGHER).execute(sim_seed(), ws)
+    assert (ws / "logs" / "stdout.log").read_text() == "to-out\n"
+    assert (ws / "logs" / "stderr.log").read_text() == "to-err\n"
+    assert out.diagnostics["exit_code"] == "4"
+    assert out.diagnostics["stderr_tail"] == "to-err\n"
+
+
+def test_external_stderr_tail_is_the_last_500_characters(tmp_path):
+    # multi-byte characters, so reading from the end of the file may cut one
+    text = "é" * 300 + "€" * 300 + "𝄞" * 400
+    command = stub_command([], exit_code=1, stderr=text)
+    out = ExternalCommandExecutor(command, HIGHER).execute(sim_seed(), make_workspace(tmp_path))
+    assert out.diagnostics["stderr_tail"] == (text + "\n")[-500:]
+
+
 def test_external_spawn_failure(tmp_path):
     executor = ExternalCommandExecutor(["/nonexistent/binary"], HIGHER)
     out = executor.execute(sim_seed(), make_workspace(tmp_path))

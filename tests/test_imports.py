@@ -2,8 +2,9 @@
 
 The intra-package import graph must stay acyclic: every
 src/seedevo/*.py is parsed with ast; imports at module level and inside
-functions both count, imports under `if TYPE_CHECKING:` do not (they
-never run).  The package root imports nothing: each name is imported
+functions both count.  Imports under `if TYPE_CHECKING:` never run, but
+they still tie two modules' types together, so a second check counts
+them too.  The package root imports nothing: each name is imported
 from the module that defines it, so importing one module loads only
 what that module needs.  The command line loads only what parsing
 needs, and each command adds only the modules it runs.  And every
@@ -42,8 +43,9 @@ def _is_type_checking(test: ast.expr) -> bool:
 class _ImportCollector(ast.NodeVisitor):
     """Names of sibling modules one module imports."""
 
-    def __init__(self, modules: set[str]):
+    def __init__(self, modules: set[str], type_checking: bool):
         self.modules = modules
+        self.type_checking = type_checking
         self.found: set[str] = set()
 
     def _add(self, dotted: str) -> None:
@@ -52,7 +54,7 @@ class _ImportCollector(ast.NodeVisitor):
             self.found.add(head)
 
     def visit_If(self, node: ast.If) -> None:
-        if _is_type_checking(node.test):
+        if _is_type_checking(node.test) and not self.type_checking:
             for stmt in node.orelse:
                 self.visit(stmt)
         else:
@@ -77,11 +79,13 @@ class _ImportCollector(ast.NodeVisitor):
                 self._add(alias.name)
 
 
-def import_graph(sources: dict[str, str]) -> dict[str, set[str]]:
+def import_graph(sources: dict[str, str], type_checking: bool = False) -> dict[str, set[str]]:
+    """Module -> sibling modules it imports; with type_checking, the
+    imports under `if TYPE_CHECKING:` count as well."""
     modules = set(sources)
     graph = {}
     for name, text in sources.items():
-        collector = _ImportCollector(modules)
+        collector = _ImportCollector(modules, type_checking)
         collector.visit(ast.parse(text))
         graph[name] = collector.found - {name}
     return graph
@@ -123,6 +127,13 @@ def test_package_import_graph_is_acyclic():
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
 
 
+def test_package_import_graph_is_acyclic_counting_type_checking_imports():
+    graph = import_graph(package_sources(), type_checking=True)
+    assert graph["cli"] >= {"engine", "config"}
+    cycle = find_cycle(graph)
+    assert cycle is None, "import cycle through type-only imports: " + " -> ".join(cycle)
+
+
 def test_collector_counts_function_imports_and_skips_type_checking():
     sources = {
         "a": "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from .b import X\n",
@@ -132,6 +143,7 @@ def test_collector_counts_function_imports_and_skips_type_checking():
     graph = import_graph(sources)
     assert graph == {"a": set(), "b": {"a"}, "c": {"a", "b"}}
     assert find_cycle(graph) is None
+    assert find_cycle(import_graph(sources, type_checking=True)) == ["a", "b", "a"]
     sources["a"] = "import seedevo.b\n"
     assert find_cycle(import_graph(sources)) == ["a", "b", "a"]
 

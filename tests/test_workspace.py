@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from seedevo.engine import AgentSeed
 from seedevo.errors import ArchiveError, CorruptStateError, MaterializationError
 from seedevo.executors import ExperimentRecord, RunOutcome
 from seedevo.operators import Operator as Op
 from seedevo.workspace import (
+    AgentSeed,
     ArchiveRef,
     Checkpoint,
     CurationRules,
@@ -53,20 +53,45 @@ def verified_outcome(score: float = 0.8, n: int = 1) -> RunOutcome:
 # -- curation --------------------------------------------------------
 
 
+def tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under root, relative: a file maps to its bytes, a
+    directory to None."""
+    return {
+        p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+        for p in root.rglob("*")
+    }
+
+
+def curate(src: Path, rules: CurationRules = CurationRules(), name: str = "copy"):
+    """Curate src into a sibling directory: (its files, sorted; warnings)."""
+    dest = src.with_name(name)
+    warnings = curate_parent_archive(src, dest, rules)
+    files = tuple(sorted(rel for rel, data in tree(dest).items() if data is not None))
+    return files, warnings
+
+
 def test_curation_includes_everything_by_default(tmp_path):
     src = build_tree(tmp_path / "src", {
         "a.txt": "a", "sub/b.txt": "b", "sub/deep/c.bin": "c",
     })
-    plan = curate_parent_archive(src, CurationRules())
-    assert plan.entries == ("a.txt", "sub/b.txt", "sub/deep/c.bin")
-    assert plan.warnings == ()
+    files, warnings = curate(src)
+    assert files == ("a.txt", "sub/b.txt", "sub/deep/c.bin")
+    assert tree(tmp_path / "copy") == tree(src)
+    assert warnings == []
 
 
 def test_curation_is_sorted_and_deterministic(tmp_path):
     src = build_tree(tmp_path / "src", {f"f{i}.txt": "x" for i in (9, 3, 7, 1)})
-    first = curate_parent_archive(src, CurationRules())
-    second = curate_parent_archive(src, CurationRules())
-    assert first.entries == second.entries == ("f1.txt", "f3.txt", "f7.txt", "f9.txt")
+    for name in ("ghost_b", "ghost_a"):
+        (src / name).symlink_to(src / "nowhere")
+    first = curate(src, name="first")
+    second = curate(src, name="second")
+    assert first == second
+    assert first[0] == ("f1.txt", "f3.txt", "f7.txt", "f9.txt")
+    # warnings come in walk order, which is name order
+    warnings = first[1]
+    assert len(warnings) == 2 and "ghost_a" in warnings[0] and "ghost_b" in warnings[1]
+    assert tree(tmp_path / "first") == tree(tmp_path / "second")
 
 
 def test_curation_glob_exclusion(tmp_path):
@@ -74,8 +99,7 @@ def test_curation_glob_exclusion(tmp_path):
         "keep.py": "k", "junk.pyc": "j", "logs/run.tmp": "t", "logs/run.log": "l",
     })
     rules = CurationRules(excluded_globs=("*.pyc", "logs/*.tmp"))
-    plan = curate_parent_archive(src, rules)
-    assert plan.entries == ("keep.py", "logs/run.log")
+    assert curate(src, rules)[0] == ("keep.py", "logs/run.log")
 
 
 def test_curation_drops_inherited_parents_at_any_depth(tmp_path):
@@ -85,30 +109,30 @@ def test_curation_drops_inherited_parents_at_any_depth(tmp_path):
         "nested/Previous Experiments/parent_1/older.txt": "o",
         "nested/keep.txt": "k",
     })
-    plan = curate_parent_archive(src, CurationRules())
-    assert plan.entries == ("nested/keep.txt", "top.txt")
+    assert curate(src)[0] == ("nested/keep.txt", "top.txt")
+    assert sorted(tree(tmp_path / "copy")) == ["nested", "nested/keep.txt", "top.txt"]
 
 
 def test_curation_enforces_byte_cap(tmp_path):
     src = tmp_path / "src"
     build_tree(src, {"small.bin": "x" * 10})
     (src / "big.bin").write_bytes(b"y" * 1001)
-    plan = curate_parent_archive(src, CurationRules(max_file_bytes=1000))
-    assert plan.entries == ("small.bin",)
+    assert curate(src, CurationRules(max_file_bytes=1000))[0] == ("small.bin",)
 
 
 def test_curation_dangling_symlink_becomes_warning(tmp_path):
     src = build_tree(tmp_path / "src", {"real.txt": "r"})
     (src / "ghost").symlink_to(src / "nowhere")
-    plan = curate_parent_archive(src, CurationRules())
-    assert plan.entries == ("real.txt",)
-    assert len(plan.warnings) == 1
-    assert "ghost" in plan.warnings[0]
+    files, warnings = curate(src)
+    assert files == ("real.txt",)
+    assert len(warnings) == 1
+    assert "ghost" in warnings[0]
 
 
 def test_curation_missing_source_is_an_error(tmp_path):
     with pytest.raises(ArchiveError):
-        curate_parent_archive(tmp_path / "absent", CurationRules())
+        curate_parent_archive(tmp_path / "absent", tmp_path / "copy", CurationRules())
+    assert not (tmp_path / "copy").exists()
 
 
 # -- materialization -------------------------------------------------
@@ -137,6 +161,19 @@ def test_materialize_merge_lays_parents_in_order(tmp_path):
     assert [p["id"] for p in manifest["parents"]] == ["p0", "p1"]
     assert [p["score"] for p in manifest["parents"]] == [0.5, 0.6]
     assert manifest["parents"][0]["path"] == "Previous Experiments/parent_0"
+
+
+def test_materialize_makes_no_directory_for_excluded_files_only(tmp_path):
+    parent = make_parent(tmp_path, "p0", 0.5, {
+        "keep.txt": "k",
+        "junk/a.pyc": "j",
+        "big/huge.bin": "x" * 101,
+        "nested/Previous Experiments/parent_0/old.txt": "o",
+    })
+    seed = AgentSeed(Op.CONTINUE, 0, (parent,), {"iteration": 2})
+    rules = CurationRules(excluded_globs=("*.pyc",), max_file_bytes=100)
+    ws = materialize_seed(seed, tmp_path / "ws", rules=rules)
+    assert tree(ws / "Previous Experiments/parent_0") == {"keep.txt": b"k"}
 
 
 def test_materialize_curates_nested_parent_dirs_away(tmp_path):
