@@ -228,7 +228,8 @@ def load_config(
     env: dict | None = None,
     overrides: dict | None = None,
 ) -> RunConfig:
-    """Assemble a RunConfig with flags > env > file > defaults."""
+    """Assemble a RunConfig with flags > env > file > defaults; a
+    relative data_path is made absolute against the working directory."""
     merged = RunConfig().to_dict()
     if config_file is not None:
         _merge_layer(merged, read_json_object(config_file, "config_file"))
@@ -236,6 +237,8 @@ def load_config(
     _merge_layer(merged, overrides or {})
     config = RunConfig.from_dict(merged)
     config.validate()
+    if config.data_path:  # run_config.json records it; a resume may start anywhere
+        config.data_path = os.path.abspath(config.data_path)
     return config
 
 

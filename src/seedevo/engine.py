@@ -225,6 +225,12 @@ def resolve_tournament(
     return winner, event
 
 
+def _require_data_source(config: RunConfig) -> None:
+    """Refuse missing task data before a run or resume writes anything."""
+    if config.data_path and not Path(config.data_path).exists():
+        raise ConfigurationError("data_path", f"data source missing: {config.data_path}")
+
+
 class EvolutionEngine:
     """Drives a run end to end over a persistent store.
 
@@ -252,6 +258,7 @@ class EvolutionEngine:
     @classmethod
     def start(cls, config: RunConfig, executor, output_root: Path) -> "EvolutionEngine":
         config.validate()
+        _require_data_source(config)
         store = RunStore.create(Path(output_root))
         store.write_config(config.to_dict())
         return cls(config, executor, store, EventLog(store.events_path))
@@ -267,6 +274,7 @@ class EvolutionEngine:
         ckpt = load_checkpoint(store.checkpoint_path)
         if ckpt is None:
             raise CorruptStateError("no checkpoint found; nothing to resume")
+        _require_data_source(config)
         store.prune_after_iteration(ckpt.iteration)
         event_log = EventLog(store.events_path)
         event_log.truncate_to(ckpt.event_log_offset)

@@ -1,17 +1,18 @@
 """Run isolation, archive store, and checkpoint persistence.
 
 Every run gets a fresh workspace directory seeded with curated copies
-of its parent archives under "Previous Experiments/parent_i".  Verified
-runs are archived into an immutable per-run directory; archives are
-what later generations inherit.  All state lives under one output
-root:
+of its parent archives under "Previous Experiments/parent_i".  A
+verified run's solution/ and logs/ move into its immutable archive, so
+each byte is stored once; an invalid run's workspace keeps them.
+Archives are what later generations inherit.  All state lives under
+one output root:
 
     output_root/
         run_config.json     effective config; the one record of run settings
         events.jsonl        append-only event log
         checkpoint.json     atomic per-iteration snapshot of run state only
         archives/<id>/      manifest.json, experiments/, solution/, logs/
-        workspaces/iter_NNNN/slot_NN/
+        workspaces/iter_NNNN/slot_NN/   solution/ and logs/ until archived
 
 The checkpoint (version 3) holds the last finished iteration, the
 stopped flag, the event log offset, the pool as one archive id (or
@@ -38,6 +39,7 @@ from dataclasses import asdict, dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 
+from .config import DEFAULT_MAX_FILE_BYTES
 from .errors import ArchiveError, ConfigurationError, CorruptStateError, MaterializationError
 from .operators import Operator
 
@@ -106,7 +108,7 @@ class CurationRules:
     """What a curated parent copy leaves out, besides PARENT_DIR_NAME."""
 
     excluded_globs: tuple[str, ...] = ()
-    max_file_bytes: int = 64 * 1024 * 1024
+    max_file_bytes: int = DEFAULT_MAX_FILE_BYTES
 
 
 def curate_parent_archive(source: Path, dest: Path, rules: CurationRules) -> list[str]:
@@ -286,11 +288,6 @@ def _atomic_write_json(path: Path, payload: dict) -> None:
 # -- run store --------------------------------------------------------
 
 
-def _symlinks(directory: str, names: list[str]) -> list[str]:
-    """The entries of a directory that are symlinks: copytree's ignore."""
-    return [n for n in names if os.path.islink(os.path.join(directory, n))]
-
-
 class RunStore:
     """Filesystem layout of one output root."""
 
@@ -364,10 +361,10 @@ class RunStore:
         """Freeze the verified RunOutcome of one (iteration, slot) into
         its immutable archive directory.
 
-        Captures the per-experiment records, the workspace's solution/
-        and logs/ trees when present (less every symlink, whose target
-        may lie anywhere or nowhere), and a
-        manifest tying scores to lineage.  Unverifiable outcomes are
+        Writes the per-experiment records and a manifest tying scores
+        to lineage, and moves the workspace's solution/ and logs/ trees
+        in when present, then unlinks every symlink in them (a target
+        may lie anywhere or nowhere).  Unverifiable outcomes are
         rejected.  The workspace and the archive both derive from the
         (iteration, slot) key, so the collision check refuses a second
         archive of a workspace.
@@ -395,7 +392,10 @@ class RunStore:
             src = workspace / sub
             dest = archive_dir / sub
             if src.is_dir() and not src.is_symlink():
-                shutil.copytree(src, dest, ignore=_symlinks)
+                src.rename(dest)
+                for path in dest.rglob("*"):
+                    if path.is_symlink():
+                        path.unlink()
             else:
                 dest.mkdir()
 

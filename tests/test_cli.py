@@ -503,6 +503,111 @@ def test_resume_relative_output_from_another_directory(tmp_path, monkeypatch, ca
     assert "already complete" in capsys.readouterr().out
 
 
+def test_resume_relative_data_from_another_directory(tmp_path, monkeypatch, capsys):
+    (tmp_path / "task" / "d").mkdir(parents=True)
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "task")
+    assert main(run_args(tmp_path / "full", "--data", "./d")) == 0
+    config = load_config(overrides={"master_seed": 11, "max_iterations": 2, "patience": 50,
+                                    "data_path": "./d"})
+    EvolutionEngine.start(config, build_executor(config), tmp_path / "cut").step()
+    stored = json.loads((tmp_path / "cut" / "run_config.json").read_text())["data_path"]
+    assert os.path.isabs(stored) and os.path.samefile(stored, tmp_path / "task" / "d")
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    capsys.readouterr()
+    assert main(["resume", "--output", str(tmp_path / "cut")]) == 0
+    assert "stopped after iteration 2" in capsys.readouterr().out
+    for name in ("events.jsonl", "report/report.json"):
+        assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_run_with_missing_data_exits_1_and_writes_no_run(tmp_path, capsys):
+    out, data = tmp_path / "run", tmp_path / "data"
+    assert main(run_args(out, "--data", str(data))) == 1
+    assert capsys.readouterr().err.startswith("configuration error: data_path: ")
+    assert [p.name for p in out.iterdir()] == [LOCK_FILENAME]
+    data.mkdir()
+    assert main(run_args(out, "--data", str(data))) == 0
+
+
+def test_resume_with_missing_data_exits_1_and_changes_nothing(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    assert main(run_args(tmp_path / "full", "--data", str(data))) == 0
+    out = tmp_path / "cut"
+    config = load_config(overrides={"master_seed": 11, "max_iterations": 2, "patience": 50,
+                                    "data_path": str(data)})
+    EvolutionEngine.start(config, build_executor(config), out).step()
+    # what a resume would prune and truncate: a crashed iteration's leftovers
+    (out / "workspaces" / "iter_0002" / "slot_00").mkdir(parents=True)
+    with open(out / "events.jsonl", "ab") as fh:
+        fh.write(b'{"type": "partial"')
+    before = root_bytes(out)
+    data.rename(tmp_path / "moved")
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: data_path: ")
+    assert {k: v for k, v in root_bytes(out).items() if k != LOCK_FILENAME} == before
+    (tmp_path / "moved").rename(data)
+    assert main(["resume", "--output", str(out)]) == 0
+    for name in ("events.jsonl", "report/report.json"):
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+#: Agent for the output-storage tests: prints argv[1] bytes to stdout,
+#: writes solution/main.py, and reports a result unless its slot is
+#: listed after the byte count.
+PRINTING_AGENT = """
+import json, os, sys
+manifest = json.load(open("seed_manifest.json"))
+sys.stdout.write("o" * int(sys.argv[1]))
+os.makedirs("solution", exist_ok=True)
+with open(os.path.join("solution", "main.py"), "w") as fh:
+    fh.write("slot %d" % manifest["slot"])
+if str(manifest["slot"]) not in sys.argv[2:]:
+    d = os.path.join("Experiments", "main_training", "run")
+    os.makedirs(d)
+    score = manifest["context_params"]["iteration"] + manifest["slot"] / 10
+    with open(os.path.join(d, "results.json"), "w") as fh:
+        json.dump({"run_name": "r", "score": score}, fh)
+"""
+
+
+def printing_run(tmp_path, out, stdout_bytes: int, *failing_slots: str, iterations: str = "2"):
+    agent = tmp_path / "agent.py"
+    agent.write_text(PRINTING_AGENT)
+    (tmp_path / "data").mkdir(exist_ok=True)
+    return main(run_args(out, "--population", "2", "--max-iterations", iterations,
+                         "--data", str(tmp_path / "data"), "--external-command",
+                         sys.executable, str(agent), str(stdout_bytes), *failing_slots))
+
+
+def test_command_output_is_stored_once_per_archive_and_parent_copy(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert printing_run(tmp_path, out, 200_000) == 0
+    archives = sorted((out / "archives").iterdir())
+    parent_copies = sorted(out.glob("workspaces/*/*/Previous Experiments/parent_*"))
+    assert len(archives) == 4 and parent_copies
+    logs = sorted(out.rglob("stdout.log"))
+    expected = [a / "logs" / "stdout.log" for a in archives]
+    expected += [p / "logs" / "stdout.log" for p in parent_copies]
+    assert logs == sorted(expected)
+    assert all(path.stat().st_size == 200_000 for path in logs)
+
+
+def test_invalid_child_workspace_keeps_solution_and_logs(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert printing_run(tmp_path, out, 10, "1", iterations="1") == 0
+    verified, invalid = (out / "workspaces" / "iter_0001" / f"slot_0{i}" for i in (0, 1))
+    assert not (verified / "solution").exists() and not (verified / "logs").exists()
+    archive = out / "archives" / "it0001_slot00"
+    assert (archive / "solution" / "main.py").read_text() == "slot 0"
+    assert (archive / "logs" / "stdout.log").read_text() == "o" * 10
+    assert (invalid / "solution" / "main.py").read_text() == "slot 1"
+    assert (invalid / "logs" / "stdout.log").read_text() == "o" * 10
+    assert not (out / "archives" / "it0001_slot01").exists()
+
+
 # -- report ----------------------------------------------------------
 
 

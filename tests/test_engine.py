@@ -1,8 +1,11 @@
 """Engine unit tests: comparisons, stopping, parent selection,
-planning, tournaments, and small end-to-end runs."""
+planning, tournaments, small end-to-end runs, and crashes inside an
+iteration."""
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -12,6 +15,7 @@ import pytest
 
 from conftest import ScriptedExecutor, single_slot_config
 from oracles import stopping_oracle
+from seedevo.cli import main
 from seedevo.config import RunConfig
 from seedevo.engine import (
     AgentSeed,
@@ -768,6 +772,103 @@ def test_resume_prunes_replayed_artifacts(tmp_path):
     assert not (tmp_path / "run" / "archives" / "it0002_slot00").exists()
     resumed.run()
     assert resumed.pool.best().score == 0.7
+
+
+# -- crashes inside an iteration ----------------------------------------
+
+
+class LoggingSimulatedExecutor(SimulatedExecutor):
+    """The simulator, plus a logs/ tree beside the solution/ it writes,
+    so archiving has both trees to move."""
+
+    def execute(self, seed, workspace):
+        (Path(workspace) / "logs").mkdir()
+        (Path(workspace) / "logs" / "run.log").write_text(f"slot {seed.slot}\n")
+        return super().execute(seed, workspace)
+
+
+#: The calls that make a write durable or put it in place.
+DURABILITY_CALLS = ("fsync", "replace", "rename")
+
+
+@contextlib.contextmanager
+def failing_call(k: int | None):
+    """Count each os.fsync/os.replace/os.rename inside the body and raise
+    OSError at the k-th (never, for None); yields the names called."""
+    count = itertools.count(1)
+    calls: list[str] = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            if next(count) == k:
+                raise OSError(f"injected failure of {name} call {k}")
+            return real(*args, **kwargs)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in DURABILITY_CALLS:
+            patch.setattr(os, name, counted(name, getattr(os, name)))
+        yield calls
+
+
+def crash_config(workers: int) -> RunConfig:
+    return RunConfig(population_size=3, workers=workers, master_seed=1, max_iterations=3,
+                     patience=50, num_training_runs=2,
+                     sim_params={"failure_prob": {"continue": 0.4, "eda": 0.4}})
+
+
+def crash_executor(config: RunConfig) -> LoggingSimulatedExecutor:
+    return LoggingSimulatedExecutor(SimModelParams.from_dict(config.sim_params), config.master_seed)
+
+
+def finished(root: Path) -> dict[str, bytes]:
+    """What a run leaves for its reader: the log, the checkpoint and the report."""
+    assert main(["report", "--output", str(root)]) == 0
+    return {name: (root / name).read_bytes()
+            for name in ("events.jsonl", "checkpoint.json", "report/report.json")}
+
+
+def cut_and_resume(root: Path, workers: int, k: int | None) -> tuple[list[str], dict]:
+    """Run iteration 1, fail the k-th durability call of iteration 2,
+    then finish the run from a fresh engine; the calls iteration 2 made
+    and what the finished root holds."""
+    config = crash_config(workers)
+    engine = EvolutionEngine.start(config, crash_executor(config), root)
+    engine.step()
+    with failing_call(k) as calls:
+        if k is None:
+            engine.step()
+        else:
+            with pytest.raises(OSError, match="injected"):
+                engine.step()
+    EvolutionEngine.resume(root, crash_executor(config)).run()
+    return calls, finished(root)
+
+
+def test_crash_at_any_durability_call_of_an_iteration_resumes_identically(tmp_path, capsys):
+    config = crash_config(workers=1)
+    EvolutionEngine.start(config, crash_executor(config), tmp_path / "full").run()
+    expected = finished(tmp_path / "full")
+    calls, _ = cut_and_resume(tmp_path / "clean", 1, None)
+    # iteration 2 archives at least one verified child and leaves one invalid
+    events, _ = read_events(tmp_path / "full" / "events.jsonl")
+    valid = [e["child_valid"] for e in events if e["type"] == "tournament" and e["iteration"] == 2]
+    assert True in valid and False in valid
+    assert calls.count("rename") == 2 * valid.count(True)
+    for k in range(1, len(calls) + 1):
+        _, got = cut_and_resume(tmp_path / f"cut_{k}", 1, k)
+        assert got == expected, f"crash at call {k} ({calls[k - 1]})"
+
+
+def test_crash_with_parallel_workers_resumes_identically(tmp_path, capsys):
+    config = crash_config(workers=3)
+    EvolutionEngine.start(config, crash_executor(config), tmp_path / "full").run()
+    calls, _ = cut_and_resume(tmp_path / "clean", 3, None)
+    k = calls.index("rename") + 1
+    _, got = cut_and_resume(tmp_path / "cut", 3, k)
+    assert got == finished(tmp_path / "full")
 
 
 def test_engine_survives_executor_exception(tmp_path):

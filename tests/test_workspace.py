@@ -277,6 +277,18 @@ def test_archive_run_freezes_experiments_and_manifest(tmp_path):
     assert (ref.path / "logs/run.log").read_text() == "log line"
 
 
+def test_archive_run_moves_solution_and_logs(tmp_path):
+    files = {"solution/model.py": "m", "solution/pkg/util.py": "u" * 5000,
+             "logs/run.log": "log line", "logs/stdout.log": "out\n" * 100}
+    store = store_with_run(tmp_path, files)
+    workspace = store.workspace_path(1, 0)
+    before = {sub: tree(workspace / sub) for sub in ("solution", "logs")}
+    ref = archive(store, verified_outcome())
+    for sub in ("solution", "logs"):
+        assert not (workspace / sub).exists()
+        assert tree(ref.path / sub) == before[sub]
+
+
 def test_archive_run_skips_dangling_symlink(tmp_path):
     store = store_with_run(tmp_path, {"solution/model.py": "m"})
     solution = store.workspace_path(1, 0) / "solution"
@@ -297,6 +309,8 @@ def test_archive_run_keeps_no_symlink(tmp_path):
     assert "solution/data" not in archived and "logs/train.csv" not in archived
     assert (ref.path / "solution/model.py").read_text() == "m"
     assert not any(p.is_symlink() for p in ref.path.rglob("*"))
+    # unlinking a moved link leaves its target as it was
+    assert tree(outside) == {"sub": None, "sub/more.csv": b"y", "train.csv": b"x" * 4096}
 
     seed = AgentSeed(Op.CONTINUE, 0, (ref,), {"iteration": 2})
     copied = materialize_seed(seed, tmp_path / "ws") / "Previous Experiments/parent_0"
