@@ -9,12 +9,12 @@ invocation.
 from __future__ import annotations
 
 import json
-import math
 import os
 import types
 import typing
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from sys import float_info
 
 from .errors import ConfigurationError
 from .hedge import BOUND_SWEEPS, HedgeConfig
@@ -84,8 +84,6 @@ class RunConfig:
             raise ConfigurationError("max_iterations", f"must be >= 1, got {self.max_iterations}")
         if self.patience < 1:
             raise ConfigurationError("patience", f"must be >= 1, got {self.patience}")
-        if not math.isfinite(self.improvement_threshold):
-            raise ConfigurationError("improvement_threshold", "must be finite")
         if self.continue_parents_max < 1:
             raise ConfigurationError("continue_parents_max", "must be >= 1")
         if self.num_training_runs < 1:
@@ -96,6 +94,8 @@ class RunConfig:
             raise ConfigurationError("external_command", "required when executor is external")
         if self.executor == "external" and not self.data_path:
             raise ConfigurationError("data_path", "required when executor is external")
+        if self.external_timeout_seconds <= 0:
+            raise ConfigurationError("external_timeout_seconds", "must be > 0")
         if self.data_provisioning not in ("copy", "link"):
             raise ConfigurationError(
                 "data_provisioning", f"must be copy or link, got {self.data_provisioning!r}"
@@ -142,12 +142,7 @@ class RunConfig:
         merged = cls().to_dict()
         merged.update(raw)
         for key in PROB_MAPS:
-            if not conforms(merged[key], dict[str, float]):
-                raise ConfigurationError(key, f"must map operators to numbers, got {merged[key]!r}")
-            try:
-                merged[key] = {Operator(k): float(v) for k, v in merged[key].items()}
-            except ValueError as exc:
-                raise ConfigurationError(key, str(exc)) from exc
+            merged[key] = operator_map(key, merged[key])
         return cls(**merged)
 
 
@@ -155,18 +150,34 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)  # resolved once, not on every v
 
 
 def conforms(value, hint) -> bool:
-    """Whether a value has a declared type: ints pass as floats, but
-    bools are not numbers and strings are not lists."""
+    """Whether a value read from outside the program has a declared
+    type: a float must be finite, ints pass as floats (within float
+    range), bools are not numbers and strings are not lists."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:
         return any(conforms(value, arg) for arg in args)
-    if hint in (int, float):
-        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:  # NaN, the infinities and ints past float range fail the bound
+        return (isinstance(value, float) or conforms(value, int)) and abs(value) <= float_info.max
     if origin is list:
         return isinstance(value, list) and all(conforms(v, args[0]) for v in value)
     if origin is dict:
         return isinstance(value, dict) and all(conforms(v, args[1]) for v in value.values())
     return isinstance(value, hint)
+
+
+def operator_map(key: str, raw) -> dict[Operator, float]:
+    """A map of operator names to numbers, read from outside the
+    program; an error names the map, or <map>.<operator>."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(key, f"must map operator names to numbers, got {raw!r}")
+    for name, value in raw.items():
+        if name not in set(Operator):
+            raise ConfigurationError(f"{key}.{name}", "unknown operator")
+        if not conforms(value, float):
+            raise ConfigurationError(f"{key}.{name}", f"must be a finite number, got {value!r}")
+    return {Operator(name): float(value) for name, value in raw.items()}
 
 
 #: Each user-settable field's environment variable and command-line flag

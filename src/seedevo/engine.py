@@ -19,7 +19,6 @@ resuming then lays the checkpointed state on top.
 from __future__ import annotations
 
 import logging
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -228,7 +227,8 @@ def resolve_tournament(
 def _require_data_source(config: RunConfig) -> None:
     """Refuse missing task data before a run or resume writes anything."""
     if config.data_path and not Path(config.data_path).exists():
-        raise ConfigurationError("data_path", f"data source missing: {config.data_path}")
+        base = "" if Path(config.data_path).is_absolute() else f" (relative to {Path.cwd()})"
+        raise ConfigurationError("data_path", f"data source missing: {config.data_path}{base}")
 
 
 class EvolutionEngine:
@@ -269,6 +269,8 @@ class EvolutionEngine:
         try:
             config = RunConfig.from_dict(store.read_config())
             config.validate()
+            if executor is None:
+                executor = build_executor(config)
         except ConfigurationError as exc:
             raise CorruptStateError(f"run_config.json: {exc}") from exc
         ckpt = load_checkpoint(store.checkpoint_path)
@@ -278,8 +280,6 @@ class EvolutionEngine:
         store.prune_after_iteration(ckpt.iteration)
         event_log = EventLog(store.events_path)
         event_log.truncate_to(ckpt.event_log_offset)
-        if executor is None:
-            executor = build_executor(config)
         engine = cls(config, executor, store, event_log)
         try:
             engine.pool.restore(ckpt.pool, store.resolve_archive)
@@ -396,9 +396,7 @@ class EvolutionEngine:
 
     def _admit(self, seed: AgentSeed, outcome, iteration: int) -> ArchiveRef | None:
         """Archive a verified outcome as the slot's candidate elite."""
-        if outcome is None or not outcome.verified or outcome.score is None:
-            return None
-        if not math.isfinite(outcome.score):
+        if outcome is None or not outcome.verified:  # a verified score is finite
             return None
         return self.store.archive_run(
             outcome=outcome,

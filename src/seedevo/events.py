@@ -13,11 +13,16 @@ import json
 import os
 from pathlib import Path
 
-from .errors import CorruptStateError
+from .errors import CorruptStateError, SeedevoError
 
 
 def encode_event(event: dict) -> bytes:
-    return (json.dumps(event, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    """One strict-JSON line; a NaN or an infinity raises SeedevoError."""
+    try:
+        line = json.dumps(event, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise SeedevoError(f"event not valid JSON ({exc}): {event}") from exc
+    return (line + "\n").encode("utf-8")
 
 
 class EventLog:
@@ -29,9 +34,11 @@ class EventLog:
     def append(self, *events: dict) -> int:
         """Write the events in one durable append and return the log's
         end offset.  Every byte before that offset is on disk when this
-        returns, so a checkpoint that records it never runs past them."""
+        returns, so a checkpoint that records it never runs past them.
+        An event that is not valid JSON raises before anything is written."""
+        data = b"".join(map(encode_event, events))
         with open(self.path, "ab") as fh:
-            fh.write(b"".join(map(encode_event, events)))
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
             return fh.tell()

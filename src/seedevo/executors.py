@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import conforms
+from .config import conforms, operator_map
 from .errors import ConfigurationError
 from .operators import Operator
 from .rng import derive_rng
@@ -143,33 +143,16 @@ class SimModelParams:
         unknown = set(raw) - set(merged)
         if unknown:
             raise ConfigurationError(sorted(unknown)[0], "unknown simulator parameter")
-        for key, value in raw.items():
-            default = merged[key]
-            if not isinstance(default, dict):
-                merged[key] = _typed(key, value, default)
-                continue
-            if not isinstance(value, dict):
-                raise ConfigurationError(key, "must map operator names to numbers")
-            for name, entry in value.items():
-                if name not in _OPERATOR_NAMES:
-                    raise ConfigurationError(f"{key}.{name}", "unknown operator")
-                default[name] = _typed(f"{key}.{name}", entry, 0.0)
+        for key, default in merged.items():
+            kind = type(default)
+            if kind is dict:
+                merged[key] = {**operator_map(key, default), **operator_map(key, raw.get(key, {}))}
+            elif key in raw:
+                if not conforms(raw[key], kind):
+                    raise ConfigurationError(key, f"must be {kind.__name__}, got {raw[key]!r}")
+                merged[key] = kind(raw[key])
         direction = MetricDirection(merged.pop("higher_is_better"))
-        for key, value in merged.items():
-            if isinstance(value, dict):
-                merged[key] = {Operator(name): p for name, p in value.items()}
         return cls(direction=direction, **merged)
-
-
-_OPERATOR_NAMES = {op.value for op in Operator}
-
-
-def _typed(name: str, value, default):
-    """value, if it has the type of default; floats come back as float."""
-    kind = type(default)
-    if not conforms(value, kind):
-        raise ConfigurationError(name, f"must be {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
 
 
 class SimulatedExecutor:
@@ -347,15 +330,15 @@ def parse_experiment_results(workspace: Path) -> tuple[tuple[ExperimentRecord, .
         except (OSError, json.JSONDecodeError) as exc:
             diagnostics[key] = f"unreadable results.json: {exc}"
             continue
-        if not isinstance(raw, dict):
+        if not conforms(raw, dict):
             diagnostics[key] = "results.json is not an object"
             continue
         score = raw.get("score")
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
+        if not conforms(score, float):
             diagnostics[key] = f"score missing or not finite: {score!r}"
             continue
         run_name = raw.get("run_name") or run_dir.name
-        if not isinstance(run_name, str):
+        if not conforms(run_name, str):
             diagnostics[key] = f"run_name not a string: {run_name!r}"
             continue
         if not _is_file_stem(run_name):
@@ -370,7 +353,7 @@ def parse_experiment_results(workspace: Path) -> tuple[tuple[ExperimentRecord, .
                 run_name=run_name,
                 score=float(score),
                 metric=str(raw.get("metric", "score")),
-                notes=raw.get("notes") if isinstance(raw.get("notes"), str) else None,
+                notes=raw.get("notes") if conforms(raw.get("notes"), str) else None,
             )
         )
     return tuple(records), diagnostics

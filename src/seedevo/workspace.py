@@ -35,11 +35,12 @@ import json
 import os
 import re
 import shutil
+import typing
 from dataclasses import asdict, dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 
-from .config import DEFAULT_MAX_FILE_BYTES
+from .config import DEFAULT_MAX_FILE_BYTES, conforms
 from .errors import ArchiveError, ConfigurationError, CorruptStateError, MaterializationError
 from .operators import Operator
 
@@ -56,6 +57,11 @@ CHECKPOINT_VERSION = 3
 #: never copied into a curated parent, so inherited archives do not nest
 #: their own inherited archives.
 PARENT_DIR_NAME = "Previous Experiments"
+
+
+#: The archive manifest fields an ArchiveRef is read from, with their types.
+MANIFEST_TYPES = {"id": str, "score": float, "operator": str, "iteration": int, "slot": int,
+                  "parent_ids": list[str]}
 
 
 @dataclass(frozen=True)
@@ -219,14 +225,12 @@ class Checkpoint:
     lays over the state built from run_config.json."""
 
     iteration: int
-    pool: list  # one archive id, or None for an empty slot, per slot
+    pool: list[str | None]  # one archive id, or None for an empty slot, per slot
     hedge: dict
     stopping: dict
     event_log_offset: int
     stopped: bool = False
     schema_version: int = CHECKPOINT_VERSION
-
-    REQUIRED = ("iteration", "pool", "hedge", "stopping", "event_log_offset", "stopped")
 
 
 def save_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
@@ -244,35 +248,25 @@ def load_checkpoint(path: Path) -> Checkpoint | None:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CorruptStateError(f"checkpoint unreadable: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not conforms(raw, dict):
         raise CorruptStateError("checkpoint: top level must be an object")
-    for key in Checkpoint.REQUIRED:
+    hints = typing.get_type_hints(Checkpoint)
+    for key in hints:
         if key not in raw:
             raise CorruptStateError(f"checkpoint field missing: {key}")
-    if raw.get("schema_version") not in (1, 2, CHECKPOINT_VERSION):
-        raise CorruptStateError(f"checkpoint schema_version: {raw.get('schema_version')!r}")
-    pool = raw["pool"]
+    if raw["schema_version"] not in (1, 2, CHECKPOINT_VERSION):
+        raise CorruptStateError(f"checkpoint schema_version: {raw['schema_version']!r}")
     if raw["schema_version"] < CHECKPOINT_VERSION:
         # an older pool holds one object per slot; only its archive id counts
         try:
-            pool = [entry and entry["archive_id"] for entry in pool["entries"]]
+            raw["pool"] = [entry and entry["archive_id"] for entry in raw["pool"]["entries"]]
         except (KeyError, TypeError):
-            pool = None
-    if not isinstance(pool, list) or not all(a is None or isinstance(a, str) for a in pool):
-        raise CorruptStateError("checkpoint field pool: not one archive id or null per slot")
-    if not isinstance(raw["iteration"], int) or raw["iteration"] < 0:
-        raise CorruptStateError(f"checkpoint field iteration: {raw['iteration']!r}")
-    if not isinstance(raw["event_log_offset"], int) or raw["event_log_offset"] < 0:
-        raise CorruptStateError(f"checkpoint field event_log_offset: {raw['event_log_offset']!r}")
-    return Checkpoint(
-        iteration=raw["iteration"],
-        pool=pool,
-        hedge=raw["hedge"],
-        stopping=raw["stopping"],
-        event_log_offset=raw["event_log_offset"],
-        stopped=bool(raw["stopped"]),
-        schema_version=raw["schema_version"],
-    )
+            raw["pool"] = None
+    for key, hint in hints.items():
+        value = raw[key]
+        if not conforms(value, hint) or (key in ("iteration", "event_log_offset") and value < 0):
+            raise CorruptStateError(f"checkpoint field {key}: {value!r}")
+    return Checkpoint(**{key: raw[key] for key in hints})
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:
@@ -414,14 +408,20 @@ class RunStore:
         return ArchiveRef.from_manifest(archive_dir, manifest)
 
     def resolve_archive(self, archive_id: str) -> ArchiveRef:
-        """Rebuild a reference from the archive's own manifest; the path
-        is always this root's archives/<id>, never a stored string."""
+        """Rebuild a reference from the archive's own manifest, each field
+        of its MANIFEST_TYPES type; the path is always this root's
+        archives/<id>, never a stored string."""
         path = self.archives_dir / archive_id
         manifest_path = path / "manifest.json"
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            if not conforms(manifest, dict):
+                raise ValueError("top level must be an object")
+            for key, hint in MANIFEST_TYPES.items():
+                if not conforms(manifest.get(key), hint):
+                    raise ValueError(f"field {key}: {manifest.get(key)!r}")
             ref = ArchiveRef.from_manifest(path, manifest)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise CorruptStateError(f"archive manifest unreadable: {manifest_path}: {exc}") from exc
         if ref.id != archive_id:
             raise CorruptStateError(f"archive manifest {manifest_path} names id {ref.id!r}")

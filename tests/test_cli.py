@@ -145,6 +145,8 @@ BAD_SIM_PARAMS = [
     ({"metric": 5}, "metric"),
     ({"base_sd": "0.1"}, "base_sd"),
     ({"gain_mean": {"merge": True}}, "gain_mean.merge"),
+    ({"base_mean": float("nan")}, "base_mean"),
+    ({"gain_sd": {"eda": float("inf")}}, "gain_sd.eda"),
 ]
 
 
@@ -162,12 +164,13 @@ def test_run_bad_sim_param_values_exit_1(tmp_path, capsys, params, field):
 BAD_CONFIG_VALUES = [
     ({"excluded_globs": "x*"}, "excluded_globs"),
     ({"floors": 3}, "floors"),
-    ({"base_probs": {"eda": "0.5"}}, "base_probs"),
+    ({"base_probs": {"eda": "0.5"}}, "base_probs.eda"),
     ({"population_size": "abc"}, "population_size"),
     ({"workers": 2.5}, "workers"),
     ({"num_training_runs": True}, "num_training_runs"),
     ({"higher_is_better": "no"}, "higher_is_better"),
     ({"external_command": "train.sh"}, "external_command"),
+    ({"floors": {"eda": float("nan")}}, "floors.eda"),
 ]
 
 
@@ -286,6 +289,8 @@ BAD_SETTING_VALUES = [
     ("master_seed", "1.5"),
     ("improvement_threshold", "tiny"),
     ("higher_is_better", "treu"),
+    ("learning_rate", "nan"),
+    ("external_timeout_seconds", "-5"),
 ]
 
 
@@ -530,18 +535,28 @@ def test_run_with_missing_data_exits_1_and_writes_no_run(tmp_path, capsys):
     assert main(run_args(out, "--data", str(data))) == 0
 
 
+def crashed_root(tmp_path, **overrides):
+    """tmp_path/cut: a run_args run cut inside iteration 2, holding the
+    leftovers a resume would prune and truncate."""
+    out = tmp_path / "cut"
+    config = load_config(overrides={"master_seed": 11, "max_iterations": 2, "patience": 50,
+                                    **overrides})
+    EvolutionEngine.start(config, build_executor(config), out).step()
+    (out / "workspaces" / "iter_0002" / "slot_00").mkdir(parents=True)
+    with open(out / "events.jsonl", "ab") as fh:
+        fh.write(b'{"type": "partial"')
+    return out
+
+
+def edit_json(path, **fields) -> None:
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
 def test_resume_with_missing_data_exits_1_and_changes_nothing(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
     assert main(run_args(tmp_path / "full", "--data", str(data))) == 0
-    out = tmp_path / "cut"
-    config = load_config(overrides={"master_seed": 11, "max_iterations": 2, "patience": 50,
-                                    "data_path": str(data)})
-    EvolutionEngine.start(config, build_executor(config), out).step()
-    # what a resume would prune and truncate: a crashed iteration's leftovers
-    (out / "workspaces" / "iter_0002" / "slot_00").mkdir(parents=True)
-    with open(out / "events.jsonl", "ab") as fh:
-        fh.write(b'{"type": "partial"')
+    out = crashed_root(tmp_path, data_path=str(data))
     before = root_bytes(out)
     data.rename(tmp_path / "moved")
     capsys.readouterr()
@@ -552,6 +567,56 @@ def test_resume_with_missing_data_exits_1_and_changes_nothing(tmp_path, capsys):
     assert main(["resume", "--output", str(out)]) == 0
     for name in ("events.jsonl", "report/report.json"):
         assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_resume_with_relative_missing_data_names_the_working_directory(tmp_path, monkeypatch,
+                                                                       capsys):
+    # roots written before data_path was made absolute store it as given
+    out = crashed_root(tmp_path)
+    edit_json(out / "run_config.json", data_path="./data")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: data_path: data source missing: ./data (relative to {os.getcwd()})\n"
+    )
+
+
+def test_resume_with_bad_sim_params_exits_3_and_changes_nothing(tmp_path, capsys):
+    out = crashed_root(tmp_path)
+    edit_json(out / "run_config.json", sim_params={"base_mean": "abc"})
+    before = root_bytes(out)
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("corrupt state: run_config.json: base_mean: ")
+    assert {k: v for k, v in root_bytes(out).items() if k != LOCK_FILENAME} == before
+
+
+def test_resume_with_mistyped_manifest_score_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(run_args(out)) == 0
+    elite = next(a for a in json.loads((out / "checkpoint.json").read_text())["pool"] if a)
+    edit_json(out / "archives" / elite / "manifest.json", score="0.57")
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt state: archive manifest") and "field score: '0.57'" in err
+
+
+def test_run_whose_allocator_overflows_exits_2_and_keeps_the_last_checkpoint(
+    tmp_path, monkeypatch, capsys
+):
+    # finite, but so large that the log-weights overflow and the
+    # sampling probabilities become NaN, which the event log refuses
+    monkeypatch.setenv("GA_ETA", "1e308")
+    out = tmp_path / "run"
+    assert main(run_args(out)) == 2
+    assert capsys.readouterr().err.startswith("error: event not valid JSON")
+    checkpoint = json.loads((out / "checkpoint.json").read_text())
+    assert checkpoint["iteration"] == 1
+    assert (out / "events.jsonl").stat().st_size == checkpoint["event_log_offset"]
+    for line in (out / "events.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=pytest.fail)
 
 
 #: Agent for the output-storage tests: prints argv[1] bytes to stdout,

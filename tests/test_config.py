@@ -4,6 +4,7 @@ flags > environment > file > defaults layering."""
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import fields
 
 import pytest
@@ -63,6 +64,16 @@ def test_default_instances_do_not_share_maps():
 # -- validation ------------------------------------------------------
 
 
+#: Every float setting, NaN and the infinities; a float setting added
+#: later is covered without a new row.
+NON_FINITE_ROWS = [
+    (name, value)
+    for name, hint in typing.get_type_hints(RunConfig).items()
+    if hint is float
+    for value in (float("nan"), float("inf"), float("-inf"))
+]
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -70,12 +81,14 @@ def test_default_instances_do_not_share_maps():
         ("workers", 0),
         ("max_iterations", 0),
         ("patience", 0),
-        ("improvement_threshold", float("inf")),
         ("continue_parents_max", 0),
         ("num_training_runs", 0),
         ("executor", "quantum"),
         ("data_provisioning", "nfs"),
         ("max_file_bytes", 0),
+        ("external_timeout_seconds", 0),
+        ("external_timeout_seconds", -5),
+        *NON_FINITE_ROWS,
     ],
 )
 def test_validate_rejects_bad_scalar(field, value):

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from seedevo.errors import CorruptStateError
+from seedevo.errors import CorruptStateError, SeedevoError
 from seedevo.events import EventLog, encode_event, read_events
 from seedevo.config import DEFAULT_BASE_PROBS
 from seedevo.operators import Operator
@@ -55,6 +55,16 @@ def test_append_returns_the_end_offset(tmp_path):
     assert end == first + len(encode_event(b)) + len(encode_event(c))
     assert log.path.read_bytes() == encode_event(a) + encode_event(b) + encode_event(c)
     assert log.append() == end == log.path.stat().st_size
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_append_refuses_what_json_cannot_hold_and_writes_nothing(tmp_path, value):
+    log = EventLog(tmp_path / "events.jsonl")
+    log.append({"type": "a"})
+    bad = {"type": "hedge", "iteration": 4, "probabilities": {"eda": value}}
+    with pytest.raises(SeedevoError, match="'type': 'hedge', 'iteration': 4"):
+        log.append({"type": "b"}, bad)
+    assert log.path.read_bytes() == encode_event({"type": "a"})
 
 
 def test_truncate_drops_suffix_only(tmp_path):

@@ -421,12 +421,21 @@ def test_checkpoint_missing_field_is_named(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_bad_iteration_type(tmp_path):
+@pytest.mark.parametrize("field,value", [
+    ("iteration", "two"),
+    ("iteration", True),
+    ("iteration", -1),
+    ("event_log_offset", 1.5),
+    ("stopped", "false"),
+    ("stopped", 0),
+    ("hedge", []),
+])
+def test_checkpoint_field_of_wrong_type(tmp_path, field, value):
     path = tmp_path / "checkpoint.json"
     raw = asdict(sample_checkpoint())
-    raw["iteration"] = "two"
+    raw[field] = value
     path.write_text(json.dumps(raw))
-    with pytest.raises(CorruptStateError, match="iteration"):
+    with pytest.raises(CorruptStateError, match=f"checkpoint field {field}:"):
         load_checkpoint(path)
 
 
@@ -514,6 +523,24 @@ def test_store_resolve_rejects_unknown_operator(tmp_path):
         (ref.path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(CorruptStateError, match="manifest"):
             store.resolve_archive(ref.id)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("score", "0.57"),
+    ("score", float("nan")),
+    ("score", None),
+    ("iteration", "1"),
+    ("slot", True),
+    ("id", 7),
+    ("parent_ids", "it0000_slot00"),
+])
+def test_store_resolve_rejects_manifest_field_of_wrong_type(tmp_path, field, value):
+    store = RunStore.create(tmp_path / "run")
+    ref = store.archive_run(verified_outcome(), Op.INITIAL, [], 1, 0)
+    manifest = json.loads((ref.path / "manifest.json").read_text())
+    (ref.path / "manifest.json").write_text(json.dumps({**manifest, field: value}))
+    with pytest.raises(CorruptStateError, match=f"field {field}: "):
+        store.resolve_archive(ref.id)
 
 
 def test_store_resolve_detects_deleted_archive(tmp_path):
