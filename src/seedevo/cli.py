@@ -189,9 +189,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .engine import EvolutionEngine
     from .events import read_events
     from .executors import SimModelParams, build_executor
+    from .operators import Operator
 
+    if args.tournaments < 1:
+        raise ConfigurationError("tournaments", f"must be >= 1, got {args.tournaments}")
     raw_params = read_json_object(args.params, "params") if args.params else {}
     params = SimModelParams.from_dict(raw_params)
+    fails = params.failure_prob.get(Operator.INITIAL, 0.0)
+    if fails >= 1:  # a slot without an elite replans as initial: no run could ever pool
+        raise ConfigurationError("failure_prob.initial", f"must be < 1 for simulate, got {fails}")
 
     def collect(root: Path) -> list[dict]:
         events: list[dict] = []
@@ -208,11 +214,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             engine.run()
             run_events, _ = read_events(engine.store.events_path)
             events.extend(run_events)
-            qualifying += sum(
-                1
-                for e in reporting.tournament_rows(run_events)
-                if e.get("parent_score") is not None
-            )
+            qualifying += sum(s.tournaments for s in reporting.compute_operator_stats(run_events))
             run_index += 1
         return events
 

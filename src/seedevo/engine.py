@@ -8,12 +8,13 @@ elite of its own slot in a 1:1 tournament, and only a strictly better
 child replaces the incumbent.  Observed improvements feed the
 allocator; the best pool score feeds the stopping rule; the
 iteration's events go to the log in one durable append, and a
-checkpoint recording the log's end offset follows.
+checkpoint recording the log's end offset, its commit point, follows.
 
-A run's settings live only in run_config.json, and an elite only in
-its archive's manifest.  Starting and resuming build the pool, the
-allocator and the stopping tracker from the config the same way;
-resuming then lays the checkpointed state on top.
+A run's settings live only in run_config.json, an elite only in its
+archive's manifest, and the run state only in the committed events.
+Starting and resuming build the pool, the allocator and the stopping
+tracker from the config the same way; resuming then replays the
+committed events over them, as step() produced them.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Iterable
 
 from . import hedge as hedgemod
-from .config import RunConfig
+from .config import RunConfig, conforms
 from .errors import ConfigurationError, CorruptStateError
 from .events import EventLog
 from .executors import build_executor
@@ -36,7 +37,6 @@ from .scoring import MetricDirection, better, improvement
 from .workspace import (
     AgentSeed,
     ArchiveRef,
-    Checkpoint,
     CurationRules,
     RunStore,
     load_checkpoint,
@@ -54,32 +54,16 @@ class ElitePool:
     """One elite archive per slot; None until a verified run fills it."""
 
     def __init__(self, size: int, direction: MetricDirection):
-        if size < 1:
-            raise ConfigurationError("population_size", f"must be >= 1, got {size}")
-        self.size = size
         self.direction = direction
         self.entries: list[ArchiveRef | None] = [None] * size
 
     def best(self) -> ArchiveRef | None:
         """Best entry under the pool direction; earliest slot wins ties."""
         top: ArchiveRef | None = None
-        for entry in self.entries:
-            if entry is None:
-                continue
+        for entry in filter(None, self.entries):
             if top is None or better(entry.score, top.score, self.direction):
                 top = entry
         return top
-
-    def restore(self, ids: list[str | None], resolve: Callable[[str], ArchiveRef]) -> None:
-        """Lay saved elites into this pool, one archive id (or None) per
-        slot; their count must be its size and each archive its slot's."""
-        if len(ids) != self.size:
-            raise ValueError(f"{len(ids)} pool entries saved, population_size is {self.size}")
-        entries = [resolve(a) if a else None for a in ids]
-        for slot, entry in enumerate(entries):
-            if entry is not None and entry.slot != slot:
-                raise ValueError(f"slot {slot} holds {entry.id} of slot {entry.slot}")
-        self.entries = entries
 
 
 @dataclass(frozen=True)
@@ -224,6 +208,22 @@ def resolve_tournament(
     return winner, event
 
 
+def observed_gains(tournaments: list[dict], active: tuple[Operator, ...]) -> list[ObservedGain]:
+    """Each measured delta of an active operator in one iteration's
+    tournament events.  A merge replanned as initial measures one for
+    initial even where the allocator does not track it."""
+    return [ObservedGain(Operator(e["operator"]), e["delta"])
+            for e in tournaments if e["delta"] is not None and e["operator"] in active]
+
+
+#: The fields replaying reads from each kind of event, with their types.
+REPLAYED_FIELDS = {
+    "tournament": {"operator": str, "child_won": bool, "child_id": str | None,
+                   "delta": float | None},
+    "stopping": {"best_so_far": float | None, "stagnation": int, "stop": bool},
+}
+
+
 def _require_data_source(config: RunConfig) -> None:
     """Refuse missing task data before a run or resume writes anything."""
     if config.data_path and not Path(config.data_path).exists():
@@ -265,6 +265,10 @@ class EvolutionEngine:
 
     @classmethod
     def resume(cls, output_root: Path, executor=None) -> "EvolutionEngine":
+        """Continue a run from its commit point: read the committed part
+        of the event log once, replay it over the state built from
+        run_config.json, then drop the work done after it.  A corrupt
+        root raises CorruptStateError before anything in it changes."""
         store = RunStore.open(Path(output_root))
         try:
             config = RunConfig.from_dict(store.read_config())
@@ -273,27 +277,63 @@ class EvolutionEngine:
                 executor = build_executor(config)
         except ConfigurationError as exc:
             raise CorruptStateError(f"run_config.json: {exc}") from exc
-        ckpt = load_checkpoint(store.checkpoint_path)
-        if ckpt is None:
+        offset = load_checkpoint(store.checkpoint_path)
+        if offset is None:
             raise CorruptStateError("no checkpoint found; nothing to resume")
         _require_data_source(config)
-        store.prune_after_iteration(ckpt.iteration)
-        event_log = EventLog(store.events_path)
-        event_log.truncate_to(ckpt.event_log_offset)
-        engine = cls(config, executor, store, event_log)
-        try:
-            engine.pool.restore(ckpt.pool, store.resolve_archive)
-            engine.hedge_state = HedgeState.from_dict(ckpt.hedge, engine.hedge_state.config)
-            engine.stopping = replace(
-                engine.stopping,
-                best_so_far=ckpt.stopping["best_so_far"],
-                stagnation_count=ckpt.stopping["stagnation_count"],
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise CorruptStateError(f"checkpoint state unreadable: {exc}") from exc
-        engine.iteration = ckpt.iteration
-        engine.stopped = ckpt.stopped
+        engine = cls(config, executor, store, EventLog(store.events_path))
+        engine._replay(engine.events.committed(offset))
+        store.prune_after_iteration(engine.iteration)
+        engine.events.truncate_to(offset)
         return engine
+
+    def _replay(self, events: Iterable[dict]) -> None:
+        """Fold committed events, whole iterations as step() writes them,
+        over the state built from the config: a slot's elite is the child
+        of its last won tournament, the allocator takes each iteration's
+        gains after the first, and the last stopping event gives the
+        stopping tracker, the iteration and the stopped flag."""
+        size = self.config.population_size
+        elites: list[str | None] = [None] * size
+        tournaments: list[dict] = []
+        count = 0
+        for count, event in enumerate(events, 1):
+            t, pos = divmod(count - 1, size + 2)
+            kind = "tournament" if pos < size else ("hedge", "stopping")[pos - size]
+            place = {"type": kind, "iteration": t + 1, **({"slot": pos} if pos < size else {})}
+            found = {key: event.get(key) for key in place}
+            if found != place:
+                raise CorruptStateError(
+                    f"event log: expected {place} (population_size is {size}), found {found}")
+            for key, hint in REPLAYED_FIELDS.get(kind, {}).items():
+                value = event.get(key, ...)  # a missing field fails every type
+                if (not conforms(value, hint) or (key == "operator" and value not in set(Operator))
+                        or (key == "stagnation" and value < 0)):
+                    shown = repr(value) if key in event else "missing"
+                    raise CorruptStateError(f"event log: {found} field {key}: {shown}")
+            if kind == "tournament":
+                tournaments.append(event)
+                if event["child_won"]:
+                    if event["child_id"] is None:
+                        raise CorruptStateError(f"event log: {found} won with child_id None")
+                    elites[pos] = event["child_id"]
+            elif kind == "hedge":
+                if t:
+                    gains = observed_gains(tournaments, self.hedge_state.config.active_tasks)
+                    self.hedge_state = hedgemod.apply_update(self.hedge_state, gains)
+                tournaments = []
+            else:
+                self.stopping = replace(self.stopping, best_so_far=event["best_so_far"],
+                                        stagnation_count=event["stagnation"])
+                self.iteration, self.stopped = t + 1, event["stop"]
+        if not count or count % (size + 2):
+            raise CorruptStateError(
+                f"event log: committed events end inside iteration {self.iteration + 1}")
+        for slot, archive_id in enumerate(elites):
+            entry = self.store.resolve_archive(archive_id) if archive_id is not None else None
+            if entry is not None and entry.slot != slot:
+                raise CorruptStateError(f"slot {slot} holds {entry.id} of slot {entry.slot}")
+            self.pool.entries[slot] = entry
 
     # -- one iteration ------------------------------------------------
 
@@ -307,7 +347,6 @@ class EvolutionEngine:
         candidates = self._dispatch(seeds, t)
 
         tournaments: list[dict] = []
-        gains: list[ObservedGain] = []
         direction = self.pool.direction
         for seed, candidate in zip(seeds, candidates):
             winner, event = resolve_tournament(
@@ -321,10 +360,9 @@ class EvolutionEngine:
             )
             self.pool.entries[seed.slot] = winner
             tournaments.append(event)
-            if event["delta"] is not None:
-                gains.append(ObservedGain(seed.operator, event["delta"]))
 
         if t > 1:
+            gains = observed_gains(tournaments, self.hedge_state.config.active_tasks)
             self.hedge_state = hedgemod.apply_update(self.hedge_state, gains)
 
         best = self.pool.best()
@@ -351,7 +389,7 @@ class EvolutionEngine:
 
         self.iteration = t
         self.stopped = stop
-        self._checkpoint(offset)
+        save_checkpoint(self.store.checkpoint_path, offset)
         return stop
 
     def run(self) -> ArchiveRef | None:
@@ -405,19 +443,3 @@ class EvolutionEngine:
             iteration=iteration,
             slot=seed.slot,
         )
-
-    def _checkpoint(self, event_log_offset: int) -> None:
-        """Save the run state; event_log_offset is the durable end of
-        the log that append() returned."""
-        ckpt = Checkpoint(
-            iteration=self.iteration,
-            pool=[e.id if e else None for e in self.pool.entries],
-            hedge=self.hedge_state.to_dict(),
-            stopping={
-                "best_so_far": self.stopping.best_so_far,
-                "stagnation_count": self.stopping.stagnation_count,
-            },
-            event_log_offset=event_log_offset,
-            stopped=self.stopped,
-        )
-        save_checkpoint(self.store.checkpoint_path, ckpt)

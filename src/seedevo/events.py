@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Iterator
 
 from .errors import CorruptStateError, SeedevoError
 
@@ -44,26 +45,51 @@ class EventLog:
             return fh.tell()
 
     def truncate_to(self, offset: int) -> None:
-        """Drop any events written after the given byte offset.
-
-        Used on resume: events past the last checkpoint belong to an
-        iteration that will be replayed.  A log missing or shorter than
-        the offset has lost checkpointed events: CorruptStateError.
-        """
-        if not self.path.exists():
-            if offset:
-                raise CorruptStateError(
-                    f"event log missing, cannot keep {offset} bytes: {self.path}"
-                )
-            return
-        size = self.path.stat().st_size
-        if size < offset:
-            raise CorruptStateError(
-                f"event log shorter ({size}) than checkpoint offset ({offset}): {self.path}"
-            )
-        if size > offset:
+        """Drop any events written after the given byte offset: on
+        resume they belong to an iteration that will be replayed."""
+        if _committed_size(self.path, offset) > offset:
             with open(self.path, "r+b") as fh:
                 fh.truncate(offset)
+
+    def committed(self, offset: int) -> Iterator[dict]:
+        """Yield the events of the log's first offset bytes, one line at
+        a time.  A line that holds no event, or that runs past the
+        offset, raises CorruptStateError."""
+        _committed_size(self.path, offset)
+        if not offset:
+            return
+        with open(self.path, "rb") as fh:
+            end = 0
+            for number, line in enumerate(fh, 1):
+                end += len(line)
+                event = _parse(line)
+                if event is None or end > offset:
+                    raise CorruptStateError(
+                        f"event log line {number} is not an event ending by offset {offset}"
+                    )
+                yield event
+                if end == offset:
+                    return
+
+
+def _committed_size(path: Path, offset: int) -> int:
+    """The log's size; a log missing or shorter than the offset has
+    lost committed events: CorruptStateError."""
+    size = path.stat().st_size if path.exists() else 0
+    if size < offset:
+        raise CorruptStateError(f"event log holds {size} bytes, the checkpoint commits {offset}: "
+                                f"{path}")
+    return size
+
+
+def _parse(line: bytes) -> dict | None:
+    """The event on one line, or None for a line that holds no JSON
+    object with a type."""
+    try:
+        event = json.loads(line)
+    except ValueError:
+        return None
+    return event if isinstance(event, dict) and "type" in event else None
 
 
 def read_events(path: Path) -> tuple[list[dict], int]:
@@ -72,20 +98,7 @@ def read_events(path: Path) -> tuple[list[dict], int]:
     Returns (events, skipped) where skipped counts malformed lines;
     bad lines are diagnostics, not fatal.
     """
-    events: list[dict] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if isinstance(row, dict) and "type" in row:
-                events.append(row)
-            else:
-                skipped += 1
-    return events, skipped
+    with open(path, "rb") as fh:
+        rows = [_parse(line) for line in fh if line.strip()]
+    events = [row for row in rows if row is not None]
+    return events, len(rows) - len(events)

@@ -102,21 +102,6 @@ class HedgeState:
     config: HedgeConfig
     log_weights: dict[Operator, float]
 
-    def to_dict(self) -> dict:
-        """The run state only; the config is rebuilt from the run's
-        settings."""
-        return {"log_weights": {op.value: w for op, w in self.log_weights.items()}}
-
-    @classmethod
-    def from_dict(cls, raw: dict, config: HedgeConfig) -> "HedgeState":
-        log_weights = {Operator(k): v for k, v in raw["log_weights"].items()}
-        if set(log_weights) != set(config.active_tasks):
-            raise ValueError(
-                f"log-weights for {sorted(op.value for op in log_weights)}, "
-                f"active operators are {sorted(op.value for op in config.active_tasks)}"
-            )
-        return cls(config=config, log_weights=log_weights)
-
 
 @dataclass(frozen=True)
 class ObservedGain:

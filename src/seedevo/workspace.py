@@ -10,19 +10,16 @@ one output root:
     output_root/
         run_config.json     effective config; the one record of run settings
         events.jsonl        append-only event log
-        checkpoint.json     atomic per-iteration snapshot of run state only
+        checkpoint.json     the event log's commit offset, saved atomically
         archives/<id>/      manifest.json, experiments/, solution/, logs/
         workspaces/iter_NNNN/slot_NN/   solution/ and logs/ until archived
 
-The checkpoint (version 3) holds the last finished iteration, the
-stopped flag, the event log offset, the pool as one archive id (or
-null) per slot, the allocator log-weights and the stopping tracker's
-best-so-far and stagnation count.  Everything derivable from
-run_config.json is rebuilt from it on resume, and everything about an
-elite from its archive's manifest.  Version-1 and version-2
-checkpoints, which also carried copies of settings and of each elite's
-manifest fields, load the same way: only each pool entry's archive id
-is read.
+The checkpoint (version 4) holds only the event log's commit offset:
+the events before it are the one record of run state, which resume
+replays over the state built from run_config.json, reading each elite
+from its archive's manifest.  Checkpoints of versions 1 to 3, which
+also carried copies of that state, load the same way: only their
+offset is read.
 
 Archive ids are it{iteration:04d}_slot{slot:02d}.  Each archive's
 manifest is the only record of it, and paths are derived from the
@@ -35,8 +32,7 @@ import json
 import os
 import re
 import shutil
-import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -47,11 +43,10 @@ from .operators import Operator
 #: Version of archive and seed manifests.
 SCHEMA_VERSION = 1
 
-#: Version of checkpoint.json this code writes.  Version 1 also repeated
-#: run settings, and versions 1 and 2 stored each pool entry as an object
-#: ({"entries": [...]}) where version 3 stores its archive id alone;
-#: load_checkpoint reads all three.
-CHECKPOINT_VERSION = 3
+#: Version of checkpoint.json this code writes.  Versions 1 to 3 also
+#: copied the run state the event log records; load_checkpoint reads
+#: the offset of all four.
+CHECKPOINT_VERSION = 4
 
 #: Where a workspace receives its parents.  A directory of this name is
 #: never copied into a curated parent, so inherited archives do not nest
@@ -219,28 +214,18 @@ def materialize_seed(
 # -- checkpointing ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """The run state after the last finished iteration: what a resume
-    lays over the state built from run_config.json."""
-
-    iteration: int
-    pool: list[str | None]  # one archive id, or None for an empty slot, per slot
-    hedge: dict
-    stopping: dict
-    event_log_offset: int
-    stopped: bool = False
-    schema_version: int = CHECKPOINT_VERSION
+def save_checkpoint(path: Path, event_log_offset: int) -> None:
+    """Commit the event log up to the offset: the events before it are
+    durable and make up the run state.  Written atomically, so a crash
+    mid-save leaves the previous commit point intact."""
+    _atomic_write_json(Path(path), {"event_log_offset": event_log_offset,
+                                    "schema_version": CHECKPOINT_VERSION})
 
 
-def save_checkpoint(path: Path, checkpoint: Checkpoint) -> None:
-    """Write atomically: a crash mid-save leaves the previous file intact."""
-    _atomic_write_json(Path(path), asdict(checkpoint))
-
-
-def load_checkpoint(path: Path) -> Checkpoint | None:
-    """None when nothing was ever saved; CorruptStateError when a file
-    exists but cannot be trusted, naming the failing field."""
+def load_checkpoint(path: Path) -> int | None:
+    """The committed event log offset, or None when nothing was ever
+    saved; CorruptStateError when a file exists but cannot be trusted,
+    naming the failing field."""
     path = Path(path)
     if not path.exists():
         return None
@@ -250,23 +235,15 @@ def load_checkpoint(path: Path) -> Checkpoint | None:
         raise CorruptStateError(f"checkpoint unreadable: {exc}") from exc
     if not conforms(raw, dict):
         raise CorruptStateError("checkpoint: top level must be an object")
-    hints = typing.get_type_hints(Checkpoint)
-    for key in hints:
+    for key in ("event_log_offset", "schema_version"):
         if key not in raw:
             raise CorruptStateError(f"checkpoint field missing: {key}")
-    if raw["schema_version"] not in (1, 2, CHECKPOINT_VERSION):
+    if raw["schema_version"] not in range(1, CHECKPOINT_VERSION + 1):
         raise CorruptStateError(f"checkpoint schema_version: {raw['schema_version']!r}")
-    if raw["schema_version"] < CHECKPOINT_VERSION:
-        # an older pool holds one object per slot; only its archive id counts
-        try:
-            raw["pool"] = [entry and entry["archive_id"] for entry in raw["pool"]["entries"]]
-        except (KeyError, TypeError):
-            raw["pool"] = None
-    for key, hint in hints.items():
-        value = raw[key]
-        if not conforms(value, hint) or (key in ("iteration", "event_log_offset") and value < 0):
-            raise CorruptStateError(f"checkpoint field {key}: {value!r}")
-    return Checkpoint(**{key: raw[key] for key in hints})
+    value = raw["event_log_offset"]
+    if not conforms(value, int) or value < 0:
+        raise CorruptStateError(f"checkpoint field event_log_offset: {value!r}")
+    return value
 
 
 def _atomic_write_json(path: Path, payload: dict) -> None:

@@ -17,7 +17,9 @@ import pytest
 from seedevo.cli import LOCK_FILENAME, main
 from seedevo.config import SETTINGS, load_config
 from seedevo.engine import EvolutionEngine
+from seedevo.events import read_events
 from seedevo.executors import build_executor
+from seedevo.reporting import compute_operator_stats
 from seedevo.workspace import RunStore
 
 
@@ -401,6 +403,23 @@ def test_resume_beside_a_live_run_leaves_its_log_intact(tmp_path, capsys):
         assert (tmp_path / "live" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
+def test_run_with_inactive_initial_and_a_merge_that_finds_no_other_elite(tmp_path, monkeypatch,
+                                                                          capsys):
+    # slot 1's initial child fails, so slot 0's merge finds no other
+    # elite and runs as initial against its own: a gain for an operator
+    # the allocator does not track
+    for op, p in (("INITIAL", "0"), ("MERGE", "0.3"), ("EDA", "0.4")):
+        monkeypatch.setenv(f"GA_PROB_{op}", p)
+    params = tmp_path / "fp.json"
+    params.write_text(json.dumps({"failure_prob": {"initial": 0.5}}))
+    out = tmp_path / "o"
+    assert main(["run", "--output", str(out), "--population", "2", "--seed", "0",
+                 "--max-iterations", "8", "--sim-params", str(params)]) == 0
+    events, _ = read_events(out / "events.jsonl")
+    assert any(e["operator"] == "initial" and e["delta"] is not None
+               for e in events if e["type"] == "tournament")
+
+
 # -- resume ----------------------------------------------------------
 
 
@@ -429,19 +448,6 @@ def test_resume_corrupt_checkpoint_exits_3(tmp_path, capsys):
     assert "corrupt state" in capsys.readouterr().err
 
 
-def test_resume_pool_size_mismatch_exits_3(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(run_args(out, "--population", "2")) == 0
-    config = json.loads((out / "run_config.json").read_text())
-    config["population_size"] = 3
-    (out / "run_config.json").write_text(json.dumps(config))
-    capsys.readouterr()
-    assert main(["resume", "--output", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("corrupt state:")
-    assert "population_size is 3" in err
-
-
 def test_resume_invalid_run_config_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(run_args(out)) == 0
@@ -451,21 +457,6 @@ def test_resume_invalid_run_config_exits_3(tmp_path, capsys):
     capsys.readouterr()
     assert main(["resume", "--output", str(out)]) == 3
     assert capsys.readouterr().err.startswith("corrupt state: run_config.json: workers")
-
-
-def test_resume_archive_in_wrong_slot_exits_3(tmp_path, capsys):
-    out = tmp_path / "run"
-    assert main(run_args(out, "--population", "2")) == 0
-    path = out / "checkpoint.json"
-    raw = json.loads(path.read_text())
-    assert raw["pool"][1].endswith("_slot01")
-    raw["pool"][0] = raw["pool"][1]
-    path.write_text(json.dumps(raw))
-    capsys.readouterr()
-    assert main(["resume", "--output", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("corrupt state:")
-    assert f"slot 0 holds {raw['pool'][1]}" in err
 
 
 def test_resume_root_with_retired_config_keys_is_identical(tmp_path, capsys):
@@ -595,12 +586,108 @@ def test_resume_with_bad_sim_params_exits_3_and_changes_nothing(tmp_path, capsys
 def test_resume_with_mistyped_manifest_score_exits_3(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(run_args(out)) == 0
-    elite = next(a for a in json.loads((out / "checkpoint.json").read_text())["pool"] if a)
+    elite = next(e["child_id"] for e in read_events(out / "events.jsonl")[0] if e.get("child_won"))
     edit_json(out / "archives" / elite / "manifest.json", score="0.57")
     capsys.readouterr()
     assert main(["resume", "--output", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("corrupt state: archive manifest") and "field score: '0.57'" in err
+
+
+def rewrite_log(edit):
+    """A tampering that applies edit to the root's events, a str standing
+    for a raw line, and commits the result up to its new end."""
+
+    def tamper(out):
+        path = out / "events.jsonl"
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(events)
+        data = "".join(e if isinstance(e, str) else json.dumps(e) + "\n" for e in events)
+        path.write_text(data)
+        edit_json(out / "checkpoint.json", event_log_offset=len(data.encode()))
+
+    return tamper
+
+
+def set_field(index, **fields):
+    return rewrite_log(lambda events: events[index].update(fields))
+
+
+def commit_at_line_end(count, cut=0):
+    """A tampering that moves the commit point to the end of the log's
+    first count lines, less cut bytes."""
+
+    def tamper(out):
+        lines = (out / "events.jsonl").read_bytes().splitlines(keepends=True)
+        edit_json(out / "checkpoint.json",
+                  event_log_offset=sum(map(len, lines[:count])) - cut)
+
+    return tamper
+
+
+def replace_line(index, line):
+    def edit(events):
+        events[index] = line + "\n"
+
+    return rewrite_log(edit)
+
+
+def swap(i, j):
+    def edit(events):
+        events[i], events[j] = events[j], events[i]
+
+    return rewrite_log(edit)
+
+
+#: Tamperings of a finished 2-slot, 3-iteration root (events 0-3 are
+#: iteration 1, 4-7 iteration 2, 8-11 iteration 3) and what the error
+#: names.  Iteration 3 archives both slots; slot 0's child wins.
+TAMPERED_ROOTS = {
+    "line-not-json": (replace_line(0, "{mangled"), "event log line 1 is not an event ending by"),
+    "line-not-object": (replace_line(4, "[1, 2]"), "event log line 5 is not an event ending by"),
+    "hedge-before-tournament": (
+        swap(1, 2), "expected {'type': 'tournament', 'iteration': 1, 'slot': 1}"),
+    "iteration-skipped": (
+        rewrite_log(lambda events: [e.update(iteration=3) for e in events[4:8]]),
+        "expected {'type': 'tournament', 'iteration': 2, 'slot': 0}"),
+    "population-size": (
+        lambda out: edit_json(out / "run_config.json", population_size=3),
+        "population_size is 3"),
+    "archive-in-wrong-slot": (
+        set_field(8, child_id="it0003_slot01"), "slot 0 holds it0003_slot01 of slot 1"),
+    "unknown-operator": (set_field(4, operator="mutate"), "'slot': 0} field operator: 'mutate'"),
+    "child-won-int": (set_field(4, child_won=1), "'slot': 0} field child_won: 1"),
+    "child-id-int": (set_field(4, child_id=7), "'slot': 0} field child_id: 7"),
+    "child-won-without-id": (
+        set_field(4, child_won=True, child_id=None), "'slot': 0} won with child_id None"),
+    "delta-string": (set_field(4, delta="x"), "'iteration': 2, 'slot': 0} field delta: 'x'"),
+    "best-so-far-string": (
+        set_field(11, best_so_far="0.5"), "'iteration': 3} field best_so_far: '0.5'"),
+    "stagnation-negative": (set_field(7, stagnation=-1), "'iteration': 2} field stagnation: -1"),
+    "stop-string": (set_field(11, stop="true"), "'iteration': 3} field stop: 'true'"),
+    "stop-missing": (
+        rewrite_log(lambda events: events[11].pop("stop")), "'iteration': 3} field stop: missing"),
+    "ends-inside-an-iteration": (
+        commit_at_line_end(6), "committed events end inside iteration 2"),
+    "ends-at-nothing": (commit_at_line_end(0), "committed events end inside iteration 1"),
+    "ends-inside-a-line": (
+        commit_at_line_end(8, cut=5), "event log line 8 is not an event ending by offset"),
+}
+
+
+@pytest.mark.parametrize("name", TAMPERED_ROOTS)
+def test_resume_of_tampered_root_exits_3_and_changes_nothing(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    assert main(["run", "--output", str(out), "--seed", "11", "--population", "2",
+                 "--max-iterations", "3", "--patience", "50"]) == 0
+    tamper, message = TAMPERED_ROOTS[name]
+    tamper(out)
+    before = root_bytes(out)
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("corrupt state:") and message in err, err
+    assert root_bytes(out) == before
 
 
 def test_run_whose_allocator_overflows_exits_2_and_keeps_the_last_checkpoint(
@@ -613,9 +700,11 @@ def test_run_whose_allocator_overflows_exits_2_and_keeps_the_last_checkpoint(
     assert main(run_args(out)) == 2
     assert capsys.readouterr().err.startswith("error: event not valid JSON")
     checkpoint = json.loads((out / "checkpoint.json").read_text())
-    assert checkpoint["iteration"] == 1
     assert (out / "events.jsonl").stat().st_size == checkpoint["event_log_offset"]
-    for line in (out / "events.jsonl").read_text().splitlines():
+    lines = (out / "events.jsonl").read_text().splitlines()
+    last = json.loads(lines[-1])
+    assert (last["type"], last["iteration"]) == ("stopping", 1)
+    for line in lines:
         json.loads(line, parse_constant=pytest.fail)
 
 
@@ -750,6 +839,48 @@ def test_simulate_bad_param_values_exit_1(tmp_path, capsys, params, field):
     assert code == 1
     err = capsys.readouterr().err
     assert any(line.startswith(f"configuration error: {field}:") for line in err.splitlines())
+
+
+#: failure_prob maps for simulate and its exit code.  Where initial
+#: children always fail no run can pool; at 0.9 seed 8's first run pools
+#: nothing by chance and the second run pools.
+SIMULATE_FAILURE_PROBS = {
+    "every-operator-1": ({op: 1.0 for op in ("initial", "continue", "ablation", "merge",
+                                             "jumpstart", "eda")}, 1),
+    "initial-1": ({"initial": 1.0}, 1),
+    "initial-0.9": ({"initial": 0.9}, 0),
+}
+
+
+@pytest.mark.parametrize("name", SIMULATE_FAILURE_PROBS)
+def test_simulate_refuses_only_initial_children_that_always_fail(tmp_path, name):
+    # in a child process, so a simulate that never stops fails on its timeout
+    failure_prob, code = SIMULATE_FAILURE_PROBS[name]
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"failure_prob": failure_prob}))
+    out = tmp_path / "s"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "seedevo.cli", "simulate", "--tournaments", "1",
+                           "--seed", "8", "--params", str(params), "--output", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    if code:
+        assert done.stderr == ("configuration error: failure_prob.initial: "
+                               "must be < 1 for simulate, got 1.0\n")
+        assert not out.exists()
+    else:
+        runs = [read_events(d / "events.jsonl")[0] for d in sorted(out.iterdir())]
+        pooled = [sum(s.tournaments for s in compute_operator_stats(run)) for run in runs]
+        assert pooled[0] == 0 and pooled[-1] > 0, pooled
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_simulate_with_fewer_than_one_tournament_exits_1(tmp_path, capsys, count):
+    code = main(["simulate", "--tournaments", count, "--output", str(tmp_path / "s")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: tournaments: must be >= 1, got {count}\n"
+    assert not (tmp_path / "s").exists()
 
 
 # -- compress --------------------------------------------------------

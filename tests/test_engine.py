@@ -428,18 +428,6 @@ def test_pool_best_ignores_sentinels():
     assert pool.best() is None
 
 
-def test_pool_round_trip():
-    refs = {"a0": make_ref("a0", 0.4, 0), "b0": make_ref("b0", 0.5, 0)}
-    pool = ElitePool(2, LOWER)
-    pool.restore(["a0", None], refs.__getitem__)
-    assert pool.entries[0] == make_entry(0, 0.4)
-    assert pool.entries[1] is None
-    with pytest.raises(ValueError, match="population_size"):
-        ElitePool(3, LOWER).restore(["a0", None], refs.__getitem__)
-    with pytest.raises(ValueError, match="slot 1 holds b0"):
-        pool.restore(["a0", "b0"], refs.__getitem__)
-
-
 # -- end-to-end runs -------------------------------------------------
 
 
@@ -536,24 +524,39 @@ def test_run_determinism_bitwise(tmp_path):
     assert logs[0] == logs[1]
 
 
-def test_interrupt_resume_equivalence(tmp_path):
-    config = single_slot_config(max_iterations=4, master_seed=13)
-    script = {(1, 0): 0.50, (2, 0): 0.55, (3, 0): 0.53, (4, 0): 0.60}
-
-    full = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "full")
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"higher_is_better": False},
+    {"base_probs": {Op.CONTINUE: 0.2, Op.ABLATION: 0.1, Op.MERGE: 0.3, Op.EDA: 0.4}},
+    {"continue_parents_max": 3},
+], ids=["higher", "lower", "initial-inactive", "continue-3-parents"])
+def test_interrupt_resume_equivalence(tmp_path, overrides):
+    config = RunConfig(population_size=3, workers=2, master_seed=2, max_iterations=6, patience=50,
+                       sim_params={"failure_prob": {"initial": 0.5}}, **overrides)
+    full = EvolutionEngine.start(config, build_executor(config), tmp_path / "full")
     full.run()
     uninterrupted = (tmp_path / "full" / "events.jsonl").read_bytes()
 
-    split = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "split")
-    split.step()
-    split.step()
+    split = EvolutionEngine.start(config, build_executor(config), tmp_path / "split")
+    for _ in range(3):
+        split.step()
     # the interrupted root is moved before it is resumed
     moved = (tmp_path / "split").rename(tmp_path / "moved")
-    resumed = EvolutionEngine.resume(moved, ScriptedExecutor(script))
-    assert resumed.iteration == 2
+    resumed = EvolutionEngine.resume(moved, build_executor(config))
+    assert resumed.iteration == 3 and not resumed.stopped
+    assert [e and (e.id, e.score) for e in resumed.pool.entries] == [
+        e and (e.id, e.score) for e in split.pool.entries]
+    assert resumed.hedge_state == split.hedge_state
+    assert resumed.stopping == split.stopping
     resumed.run()
     assert (moved / "events.jsonl").read_bytes() == uninterrupted
     assert resumed.pool.best().score == full.pool.best().score
+    if Op.INITIAL not in config.base_probs:
+        # a merge that found no other elite ran as initial against its
+        # slot's own elite before the interruption
+        events, _ = read_events(moved / "events.jsonl")
+        assert any(e["operator"] == "initial" and e["delta"] is not None and e["iteration"] <= 3
+                   for e in events if e["type"] == "tournament")
 
 
 def trace_event_log(engine: EvolutionEngine, monkeypatch) -> list[str]:
@@ -649,18 +652,13 @@ def sim_engine(config: RunConfig, root: Path) -> EvolutionEngine:
 
 
 def test_checkpoint_holds_run_state_only(tmp_path):
+    # the committed events are the one record of run state; the
+    # checkpoint only says where they end
     config = RunConfig(population_size=2, workers=1, master_seed=3, max_iterations=2)
     engine = sim_engine(config, tmp_path / "run")
     engine.run()
     raw = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
-    assert raw["schema_version"] == 3
-    assert set(raw) == {
-        "schema_version", "iteration", "stopped", "event_log_offset", "pool", "hedge", "stopping",
-    }
-    # the archive is the one record of an elite
-    assert raw["pool"] == [e.id for e in engine.pool.entries]
-    assert set(raw["hedge"]) == {"log_weights"}
-    assert set(raw["stopping"]) == {"best_so_far", "stagnation_count"}
+    assert raw == {"event_log_offset": engine.events.path.stat().st_size, "schema_version": 4}
 
 
 def old_pool_entry(slot: int, entry: ArchiveRef | None) -> dict:
@@ -673,25 +671,26 @@ def old_pool_entry(slot: int, entry: ArchiveRef | None) -> dict:
             "origin_operator": entry.origin_operator.value, "parent_ids": list(entry.parent_ids)}
 
 
-@pytest.mark.parametrize("version", [1, 2])
-def test_older_checkpoint_resumes_identically(tmp_path, version):
-    config = RunConfig(population_size=4, workers=2, master_seed=9, max_iterations=5, patience=50,
-                       sim_params={"failure_prob": {"initial": 0.5}})
-    EvolutionEngine.start(config, build_executor(config), tmp_path / "full").run()
-
-    split = EvolutionEngine.start(config, build_executor(config), tmp_path / "old")
-    split.step()
-    split.step()
-    assert None in split.pool.entries  # an empty slot, written as an entry without archive
-    path = tmp_path / "old" / "checkpoint.json"
-    raw = json.loads(path.read_text())
-    assert raw["schema_version"] == 3
-    raw["schema_version"] = version
-    raw["pool"] = {"entries": [old_pool_entry(i, e) for i, e in enumerate(split.pool.entries)]}
+def old_checkpoint(engine: EvolutionEngine, version: int) -> dict:
+    """The checkpoint of an engine's state as versions 1 to 3 wrote it:
+    a copy of the run state beside the event log offset."""
+    raw = {
+        "schema_version": version,
+        "iteration": engine.iteration,
+        "stopped": engine.stopped,
+        "event_log_offset": engine.events.path.stat().st_size,
+        "pool": [e and e.id for e in engine.pool.entries],
+        "hedge": {"log_weights": {op.value: w for op, w in engine.hedge_state.log_weights.items()}},
+        "stopping": {"best_so_far": engine.stopping.best_so_far,
+                     "stagnation_count": engine.stopping.stagnation_count},
+    }
+    if version < 3:
+        raw["pool"] = {"entries": [old_pool_entry(i, e) for i, e in enumerate(engine.pool.entries)]}
     if version == 1:
         # put back the copies of run settings a version-1 checkpoint carried
+        config = engine.config
         hedge = config.hedge_config()
-        raw["rng"] = {"master_seed": config.master_seed, "next_iteration": 3}
+        raw["rng"] = {"master_seed": config.master_seed, "next_iteration": engine.iteration + 1}
         raw["hedge"]["config"] = {
             "active_tasks": [op.value for op in hedge.active_tasks],
             "base_probs": {op.value: p for op, p in hedge.base_probs.items()},
@@ -707,7 +706,38 @@ def test_older_checkpoint_resumes_identically(tmp_path, version):
             max_iterations=config.max_iterations,
         )
         raw["pool"].update(size=config.population_size, direction={"higher_is_better": True})
-    path.write_text(json.dumps(raw))
+    return raw
+
+
+def mistype_log_weight(raw: dict) -> None:
+    raw["hedge"]["log_weights"]["eda"] = "x"
+
+
+def mistype_best_so_far(raw: dict) -> None:
+    raw["stopping"]["best_so_far"] = "0.5"
+
+
+@pytest.mark.parametrize("version,edit", [
+    pytest.param(1, None, id="1"),
+    pytest.param(2, None, id="2"),
+    pytest.param(3, None, id="3"),
+    # resume reads only the offset, so a mistyped copy of the state is inert
+    pytest.param(3, mistype_log_weight, id="3-log-weight-x"),
+    pytest.param(3, mistype_best_so_far, id="3-best-so-far-string"),
+])
+def test_older_checkpoint_resumes_identically(tmp_path, version, edit):
+    config = RunConfig(population_size=4, workers=2, master_seed=9, max_iterations=5, patience=50,
+                       sim_params={"failure_prob": {"initial": 0.5}})
+    EvolutionEngine.start(config, build_executor(config), tmp_path / "full").run()
+
+    split = EvolutionEngine.start(config, build_executor(config), tmp_path / "old")
+    split.step()
+    split.step()
+    assert None in split.pool.entries  # an empty slot, written as an entry without archive
+    raw = old_checkpoint(split, version)
+    if edit:
+        edit(raw)
+    (tmp_path / "old" / "checkpoint.json").write_text(json.dumps(raw))
 
     resumed = EvolutionEngine.resume(tmp_path / "old")
     assert resumed.iteration == 2
@@ -761,8 +791,8 @@ def test_resume_prunes_replayed_artifacts(tmp_path):
     engine2 = EvolutionEngine.start(config, ScriptedExecutor(script), tmp_path / "ref")
     engine2.step()
     ckpt_path.write_text((tmp_path / "ref" / "checkpoint.json").read_text())
-    raw = json.loads(ckpt_path.read_text())
-    assert raw["iteration"] == 1
+    assert engine2.events.path.read_bytes() == engine.events.path.read_bytes()[
+        : json.loads(ckpt_path.read_text())["event_log_offset"]]
 
     resumed = EvolutionEngine.resume(tmp_path / "run", ScriptedExecutor(script))
     assert resumed.iteration == 1

@@ -33,17 +33,18 @@ def test_append_and_read_round_trip(tmp_path):
 
 def test_read_events_skips_malformed_lines(tmp_path):
     path = tmp_path / "events.jsonl"
-    path.write_text(
-        '{"type": "stopping", "iteration": 1}\n'
-        "{torn line\n"
-        "\n"
-        '["not", "an", "object"]\n'
-        '{"iteration": 2}\n'  # no type field
-        '{"type": "hedge", "iteration": 2}\n'
+    path.write_bytes(
+        b'{"type": "stopping", "iteration": 1}\n'
+        b"{torn line\n"
+        b"\n"
+        b'["not", "an", "object"]\n'
+        b'{"iteration": 2}\n'  # no type field
+        b"\xff\xfe not utf-8\n"
+        b'{"type": "hedge", "iteration": 2}\n'
     )
     events, skipped = read_events(path)
     assert [e["type"] for e in events] == ["stopping", "hedge"]
-    assert skipped == 3
+    assert skipped == 4
 
 
 def test_append_returns_the_end_offset(tmp_path):

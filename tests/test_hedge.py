@@ -3,7 +3,6 @@ checks against the independent oracles."""
 
 from __future__ import annotations
 
-import json
 import math
 import random
 
@@ -357,29 +356,6 @@ def test_sampling_is_deterministic_per_stream():
 
 
 # -- serialization ---------------------------------------------------
-
-
-def test_state_round_trips_through_dict():
-    config = HedgeConfig.build(
-        {Op.INITIAL: 0.1, Op.CONTINUE: 0.2, Op.ABLATION: 0.1, Op.MERGE: 0.1, Op.EDA: 0.5},
-        floors=PAPER_FLOORS,
-        ceilings=PAPER_CEILINGS,
-        learning_rate=0.15,
-        clip_cap=4.0,
-    )
-    state = apply_update(
-        new_state(config),
-        [ObservedGain(Op.CONTINUE, 0.02), ObservedGain(Op.EDA, -0.01)],
-    )
-    assert set(state.to_dict()) == {"log_weights"}
-    back = HedgeState.from_dict(json.loads(json.dumps(state.to_dict())), config)
-    assert back.log_weights == state.log_weights
-    assert back.config == state.config
-    with pytest.raises(ValueError, match="active operators"):
-        HedgeState.from_dict({"log_weights": {"continue": 0.0}}, config)
-    # the restored state behaves identically
-    more = [ObservedGain(Op.MERGE, 0.01), ObservedGain(Op.ABLATION, -0.02)]
-    assert apply_update(back, more).log_weights == apply_update(state, more).log_weights
 
 
 # -- property tests --------------------------------------------------
