@@ -84,6 +84,8 @@ class RunConfig:
             raise ConfigurationError("max_iterations", f"must be >= 1, got {self.max_iterations}")
         if self.patience < 1:
             raise ConfigurationError("patience", f"must be >= 1, got {self.patience}")
+        if self.improvement_threshold < 0:
+            raise ConfigurationError("improvement_threshold", "must be >= 0")
         if self.continue_parents_max < 1:
             raise ConfigurationError("continue_parents_max", "must be >= 1")
         if self.num_training_runs < 1:

@@ -12,9 +12,11 @@ checkpoint recording the log's end offset, its commit point, follows.
 
 A run's settings live only in run_config.json, an elite only in its
 archive's manifest, and the run state only in the committed events.
-Starting and resuming build the pool, the allocator and the stopping
-tracker from the config the same way; resuming then replays the
-committed events over them, as step() produced them.
+An iteration's events follow from the config and the archives it left
+(only verified children are archived), so resuming settles each
+committed iteration again through the same path as step(), and the
+committed log must be exactly what that writes, under the
+run_config.json it was written under.
 """
 
 from __future__ import annotations
@@ -23,12 +25,12 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from . import hedge as hedgemod
-from .config import RunConfig, conforms
-from .errors import ConfigurationError, CorruptStateError
-from .events import EventLog
+from .config import RunConfig
+from .errors import ConfigurationError, CorruptStateError, SeedevoError
+from .events import EventLog, encode_event
 from .executors import build_executor
 from .hedge import HedgeState, ObservedGain
 from .operators import Operator
@@ -208,22 +210,6 @@ def resolve_tournament(
     return winner, event
 
 
-def observed_gains(tournaments: list[dict], active: tuple[Operator, ...]) -> list[ObservedGain]:
-    """Each measured delta of an active operator in one iteration's
-    tournament events.  A merge replanned as initial measures one for
-    initial even where the allocator does not track it."""
-    return [ObservedGain(Operator(e["operator"]), e["delta"])
-            for e in tournaments if e["delta"] is not None and e["operator"] in active]
-
-
-#: The fields replaying reads from each kind of event, with their types.
-REPLAYED_FIELDS = {
-    "tournament": {"operator": str, "child_won": bool, "child_id": str | None,
-                   "delta": float | None},
-    "stopping": {"best_so_far": float | None, "stagnation": int, "stop": bool},
-}
-
-
 def _require_data_source(config: RunConfig) -> None:
     """Refuse missing task data before a run or resume writes anything."""
     if config.data_path and not Path(config.data_path).exists():
@@ -265,10 +251,10 @@ class EvolutionEngine:
 
     @classmethod
     def resume(cls, output_root: Path, executor=None) -> "EvolutionEngine":
-        """Continue a run from its commit point: read the committed part
-        of the event log once, replay it over the state built from
-        run_config.json, then drop the work done after it.  A corrupt
-        root raises CorruptStateError before anything in it changes."""
+        """Continue a run from its commit point: settle the committed
+        iterations again over the state built from run_config.json, then
+        drop the work done after them.  A corrupt root raises
+        CorruptStateError before anything in it changes."""
         store = RunStore.open(Path(output_root))
         try:
             config = RunConfig.from_dict(store.read_config())
@@ -282,58 +268,32 @@ class EvolutionEngine:
             raise CorruptStateError("no checkpoint found; nothing to resume")
         _require_data_source(config)
         engine = cls(config, executor, store, EventLog(store.events_path))
-        engine._replay(engine.events.committed(offset))
+        engine._settle_again(engine.events.committed(offset))
         store.prune_after_iteration(engine.iteration)
         engine.events.truncate_to(offset)
         return engine
 
-    def _replay(self, events: Iterable[dict]) -> None:
-        """Fold committed events, whole iterations as step() writes them,
-        over the state built from the config: a slot's elite is the child
-        of its last won tournament, the allocator takes each iteration's
-        gains after the first, and the last stopping event gives the
-        stopping tracker, the iteration and the stopped flag."""
+    def _settle_again(self, lines: list[bytes]) -> None:
+        """Settle each committed iteration as step() did: plan it from the
+        state so far, take each slot's archive as its candidate, and
+        require the events to be the committed lines byte for byte."""
         size = self.config.population_size
-        elites: list[str | None] = [None] * size
-        tournaments: list[dict] = []
-        count = 0
-        for count, event in enumerate(events, 1):
-            t, pos = divmod(count - 1, size + 2)
-            kind = "tournament" if pos < size else ("hedge", "stopping")[pos - size]
-            place = {"type": kind, "iteration": t + 1, **({"slot": pos} if pos < size else {})}
-            found = {key: event.get(key) for key in place}
-            if found != place:
-                raise CorruptStateError(
-                    f"event log: expected {place} (population_size is {size}), found {found}")
-            for key, hint in REPLAYED_FIELDS.get(kind, {}).items():
-                value = event.get(key, ...)  # a missing field fails every type
-                if (not conforms(value, hint) or (key == "operator" and value not in set(Operator))
-                        or (key == "stagnation" and value < 0)):
-                    shown = repr(value) if key in event else "missing"
-                    raise CorruptStateError(f"event log: {found} field {key}: {shown}")
-            if kind == "tournament":
-                tournaments.append(event)
-                if event["child_won"]:
-                    if event["child_id"] is None:
-                        raise CorruptStateError(f"event log: {found} won with child_id None")
-                    elites[pos] = event["child_id"]
-            elif kind == "hedge":
-                if t:
-                    gains = observed_gains(tournaments, self.hedge_state.config.active_tasks)
-                    self.hedge_state = hedgemod.apply_update(self.hedge_state, gains)
-                tournaments = []
-            else:
-                self.stopping = replace(self.stopping, best_so_far=event["best_so_far"],
-                                        stagnation_count=event["stagnation"])
-                self.iteration, self.stopped = t + 1, event["stop"]
-        if not count or count % (size + 2):
-            raise CorruptStateError(
-                f"event log: committed events end inside iteration {self.iteration + 1}")
-        for slot, archive_id in enumerate(elites):
-            entry = self.store.resolve_archive(archive_id) if archive_id is not None else None
-            if entry is not None and entry.slot != slot:
-                raise CorruptStateError(f"slot {slot} holds {entry.id} of slot {entry.slot}")
-            self.pool.entries[slot] = entry
+        iterations, rest = divmod(len(lines), size + 2)
+        if rest or not lines:
+            raise CorruptStateError(f"event log: committed events end inside iteration "
+                                    f"{iterations + 1} (population_size is {size})")
+        for t in range(1, iterations + 1):
+            seeds = plan_iteration(self.pool.entries, self.hedge_state, t, self.config)
+            candidates = [self.store.archived(t, slot) for slot in range(size)]
+            first = (t - 1) * (size + 2)
+            for number, event in enumerate(self._settle(seeds, candidates, t), first + 1):
+                try:
+                    same = encode_event(event) == lines[number - 1]
+                except SeedevoError:  # NaN: an event the run could not have committed
+                    same = False
+                if not same:
+                    raise CorruptStateError(
+                        f"event log line {number} is not what iteration {t} settles to")
 
     # -- one iteration ------------------------------------------------
 
@@ -342,16 +302,23 @@ class EvolutionEngine:
         if self.stopped:
             return True
         t = self.iteration + 1
-        previous = list(self.pool.entries)
-        seeds = plan_iteration(previous, self.hedge_state, t, self.config)
-        candidates = self._dispatch(seeds, t)
+        seeds = plan_iteration(self.pool.entries, self.hedge_state, t, self.config)
+        events = self._settle(seeds, self._dispatch(seeds, t), t)
+        save_checkpoint(self.store.checkpoint_path, self.events.append(*events))
+        return self.stopped
 
+    def _settle(self, seeds: list[AgentSeed], candidates: list[ArchiveRef | None],
+                t: int) -> list[dict]:
+        """Settle iteration t: each slot's candidate (None for a child
+        with nothing verified) meets its elite, the allocator takes the
+        iteration's gains after the first, and the stopping rule the
+        best pool score.  Returns the iteration's events in log order."""
         tournaments: list[dict] = []
         direction = self.pool.direction
         for seed, candidate in zip(seeds, candidates):
             winner, event = resolve_tournament(
                 candidate,
-                previous[seed.slot],
+                self.pool.entries[seed.slot],
                 direction,
                 iteration=t,
                 operator=seed.operator,
@@ -362,15 +329,19 @@ class EvolutionEngine:
             tournaments.append(event)
 
         if t > 1:
-            gains = observed_gains(tournaments, self.hedge_state.config.active_tasks)
+            # a merge replanned as initial measures a gain for initial,
+            # which counts only where the allocator tracks it
+            active = self.hedge_state.config.active_tasks
+            gains = [ObservedGain(seed.operator, e["delta"]) for seed, e in zip(seeds, tournaments)
+                     if e["delta"] is not None and seed.operator in active]
             self.hedge_state = hedgemod.apply_update(self.hedge_state, gains)
 
         best = self.pool.best()
         iteration_best = best.score if best else None
-        self.stopping, stop = update_stopping(self.stopping, iteration_best, t, direction)
-
+        self.stopping, self.stopped = update_stopping(self.stopping, iteration_best, t, direction)
+        self.iteration = t
         probs = hedgemod.sampling_probabilities(self.hedge_state)
-        offset = self.events.append(
+        return [
             *tournaments,
             {
                 "type": "hedge",
@@ -383,14 +354,9 @@ class EvolutionEngine:
                 "iteration_best": iteration_best,
                 "best_so_far": self.stopping.best_so_far,
                 "stagnation": self.stopping.stagnation_count,
-                "stop": stop,
+                "stop": self.stopped,
             },
-        )
-
-        self.iteration = t
-        self.stopped = stop
-        save_checkpoint(self.store.checkpoint_path, offset)
-        return stop
+        ]
 
     def run(self) -> ArchiveRef | None:
         """Loop step() to completion and return the best elite."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterator
 
 from .errors import CorruptStateError, SeedevoError
 
@@ -51,25 +50,16 @@ class EventLog:
             with open(self.path, "r+b") as fh:
                 fh.truncate(offset)
 
-    def committed(self, offset: int) -> Iterator[dict]:
-        """Yield the events of the log's first offset bytes, one line at
-        a time.  A line that holds no event, or that runs past the
-        offset, raises CorruptStateError."""
+    def committed(self, offset: int) -> list[bytes]:
+        """The lines of the log's first offset bytes, each with its
+        newline; an offset inside a line raises CorruptStateError."""
         _committed_size(self.path, offset)
-        if not offset:
-            return
         with open(self.path, "rb") as fh:
-            end = 0
-            for number, line in enumerate(fh, 1):
-                end += len(line)
-                event = _parse(line)
-                if event is None or end > offset:
-                    raise CorruptStateError(
-                        f"event log line {number} is not an event ending by offset {offset}"
-                    )
-                yield event
-                if end == offset:
-                    return
+            lines = fh.read(offset).split(b"\n")
+        if lines.pop():  # the bytes after the last newline
+            raise CorruptStateError(
+                f"event log line {len(lines) + 1} is not an event ending by offset {offset}")
+        return [line + b"\n" for line in lines]
 
 
 def _committed_size(path: Path, offset: int) -> int:

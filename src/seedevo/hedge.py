@@ -74,6 +74,9 @@ class HedgeConfig:
         floor_sum = sum(floors.get(op, 0.0) for op in active)
         if floor_sum > 1.0 + 1e-9:
             raise ConfigurationError("floors", f"floors over active operators sum to {floor_sum}")
+        ceiling_sum = sum(ceilings.get(op, math.inf) for op in active)
+        if ceiling_sum < 1.0 - 1e-9:
+            raise ConfigurationError("ceilings", f"active ceilings sum to {ceiling_sum}; must be >= 1")
         for op in active:
             lo = floors.get(op, 0.0)
             hi = ceilings.get(op)

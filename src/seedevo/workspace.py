@@ -15,11 +15,11 @@ one output root:
         workspaces/iter_NNNN/slot_NN/   solution/ and logs/ until archived
 
 The checkpoint (version 4) holds only the event log's commit offset:
-the events before it are the one record of run state, which resume
-replays over the state built from run_config.json, reading each elite
-from its archive's manifest.  Checkpoints of versions 1 to 3, which
-also carried copies of that state, load the same way: only their
-offset is read.
+the events before it are the one record of run state.  Resume settles
+each committed iteration again from run_config.json and the archives
+that iteration left, and the committed log must be exactly what that
+writes.  Checkpoints of versions 1 to 3, which also carried copies of
+that state, load the same way: only their offset is read.
 
 Archive ids are it{iteration:04d}_slot{slot:02d}.  Each archive's
 manifest is the only record of it, and paths are derived from the
@@ -384,9 +384,16 @@ class RunStore:
         _atomic_write_json(archive_dir / "manifest.json", manifest)
         return ArchiveRef.from_manifest(archive_dir, manifest)
 
+    def archived(self, iteration: int, slot: int) -> ArchiveRef | None:
+        """The archive of one (iteration, slot), or None when that run
+        left none: it produced nothing verified."""
+        name = self.archive_id(iteration, slot)
+        return self.resolve_archive(name) if (self.archives_dir / name).is_dir() else None
+
     def resolve_archive(self, archive_id: str) -> ArchiveRef:
         """Rebuild a reference from the archive's own manifest, each field
-        of its MANIFEST_TYPES type; the path is always this root's
+        of its MANIFEST_TYPES type, naming the id and the (iteration,
+        slot) it derives from; the path is always this root's
         archives/<id>, never a stored string."""
         path = self.archives_dir / archive_id
         manifest_path = path / "manifest.json"
@@ -400,8 +407,9 @@ class RunStore:
             ref = ArchiveRef.from_manifest(path, manifest)
         except (OSError, ValueError) as exc:
             raise CorruptStateError(f"archive manifest unreadable: {manifest_path}: {exc}") from exc
-        if ref.id != archive_id:
-            raise CorruptStateError(f"archive manifest {manifest_path} names id {ref.id!r}")
+        if not archive_id == ref.id == self.archive_id(ref.origin_iteration, ref.slot):
+            raise CorruptStateError(f"archive manifest {manifest_path} names id {ref.id!r}, "
+                                    f"iteration {ref.origin_iteration}, slot {ref.slot}")
         return ref
 
     def prune_after_iteration(self, iteration: int) -> None:
@@ -415,7 +423,7 @@ class RunStore:
         for directory, pattern in named:
             if not directory.is_dir():
                 continue
-            for entry in sorted(directory.iterdir()):
+            for entry in directory.iterdir():
                 match = re.fullmatch(pattern, entry.name)
                 if match and int(match.group(1)) > iteration and entry.is_dir():
                     shutil.rmtree(entry)

@@ -173,6 +173,9 @@ BAD_CONFIG_VALUES = [
     ({"higher_is_better": "no"}, "higher_is_better"),
     ({"external_command": "train.sh"}, "external_command"),
     ({"floors": {"eda": float("nan")}}, "floors.eda"),
+    ({"base_probs": {"initial": 0, "continue": 0.5, "ablation": 0, "merge": 0, "jumpstart": 0,
+                     "eda": 0.5},
+      "ceilings": {"continue": 0.3, "eda": 0.3}}, "ceilings"),
 ]
 
 
@@ -293,6 +296,7 @@ BAD_SETTING_VALUES = [
     ("higher_is_better", "treu"),
     ("learning_rate", "nan"),
     ("external_timeout_seconds", "-5"),
+    ("improvement_threshold", "-0.01"),
 ]
 
 
@@ -596,13 +600,15 @@ def test_resume_with_mistyped_manifest_score_exits_3(tmp_path, capsys):
 
 def rewrite_log(edit):
     """A tampering that applies edit to the root's events, a str standing
-    for a raw line, and commits the result up to its new end."""
+    for a raw line, and commits the result up to its new end.  Events are
+    written as the engine writes them, so only the edited lines differ."""
 
     def tamper(out):
         path = out / "events.jsonl"
         events = [json.loads(line) for line in path.read_text().splitlines()]
         edit(events)
-        data = "".join(e if isinstance(e, str) else json.dumps(e) + "\n" for e in events)
+        data = "".join(e if isinstance(e, str) else
+                       json.dumps(e, sort_keys=True, separators=(",", ":")) + "\n" for e in events)
         path.write_text(data)
         edit_json(out / "checkpoint.json", event_log_offset=len(data.encode()))
 
@@ -639,39 +645,45 @@ def swap(i, j):
     return rewrite_log(edit)
 
 
+def differs(line, iteration):
+    return f"event log line {line} is not what iteration {iteration} settles to"
+
+
 #: Tamperings of a finished 2-slot, 3-iteration root (events 0-3 are
 #: iteration 1, 4-7 iteration 2, 8-11 iteration 3) and what the error
-#: names.  Iteration 3 archives both slots; slot 0's child wins.
+#: names.  Iteration 3 archives both slots; slot 0's child wins, and
+#: slot 1's loses.
 TAMPERED_ROOTS = {
-    "line-not-json": (replace_line(0, "{mangled"), "event log line 1 is not an event ending by"),
-    "line-not-object": (replace_line(4, "[1, 2]"), "event log line 5 is not an event ending by"),
-    "hedge-before-tournament": (
-        swap(1, 2), "expected {'type': 'tournament', 'iteration': 1, 'slot': 1}"),
+    "line-not-json": (replace_line(0, "{mangled"), differs(1, 1)),
+    "line-not-object": (replace_line(4, "[1, 2]"), differs(5, 2)),
+    "hedge-before-tournament": (swap(1, 2), differs(2, 1)),
     "iteration-skipped": (
-        rewrite_log(lambda events: [e.update(iteration=3) for e in events[4:8]]),
-        "expected {'type': 'tournament', 'iteration': 2, 'slot': 0}"),
+        rewrite_log(lambda events: [e.update(iteration=3) for e in events[4:8]]), differs(5, 2)),
     "population-size": (
         lambda out: edit_json(out / "run_config.json", population_size=3),
-        "population_size is 3"),
+        "inside iteration 3 (population_size is 3)"),
     "archive-in-wrong-slot": (
-        set_field(8, child_id="it0003_slot01"), "slot 0 holds it0003_slot01 of slot 1"),
-    "unknown-operator": (set_field(4, operator="mutate"), "'slot': 0} field operator: 'mutate'"),
-    "child-won-int": (set_field(4, child_won=1), "'slot': 0} field child_won: 1"),
-    "child-id-int": (set_field(4, child_id=7), "'slot': 0} field child_id: 7"),
-    "child-won-without-id": (
-        set_field(4, child_won=True, child_id=None), "'slot': 0} won with child_id None"),
-    "delta-string": (set_field(4, delta="x"), "'iteration': 2, 'slot': 0} field delta: 'x'"),
-    "best-so-far-string": (
-        set_field(11, best_so_far="0.5"), "'iteration': 3} field best_so_far: '0.5'"),
-    "stagnation-negative": (set_field(7, stagnation=-1), "'iteration': 2} field stagnation: -1"),
-    "stop-string": (set_field(11, stop="true"), "'iteration': 3} field stop: 'true'"),
-    "stop-missing": (
-        rewrite_log(lambda events: events[11].pop("stop")), "'iteration': 3} field stop: missing"),
+        lambda out: edit_json(out / "archives" / "it0003_slot00" / "manifest.json", slot=1),
+        "names id 'it0003_slot00', iteration 3, slot 1"),
+    "unknown-operator": (set_field(4, operator="mutate"), differs(5, 2)),
+    "child-won-int": (set_field(4, child_won=1), differs(5, 2)),
+    "child-id-int": (set_field(4, child_id=7), differs(5, 2)),
+    "child-won-without-id": (set_field(4, child_won=True, child_id=None), differs(5, 2)),
+    "delta-string": (set_field(4, delta="x"), differs(5, 2)),
+    "best-so-far-string": (set_field(11, best_so_far="0.5"), differs(12, 3)),
+    "stagnation-negative": (set_field(7, stagnation=-1), differs(8, 2)),
+    "stop-string": (set_field(11, stop="true"), differs(12, 3)),
+    "stop-missing": (rewrite_log(lambda events: events[11].pop("stop")), differs(12, 3)),
     "ends-inside-an-iteration": (
         commit_at_line_end(6), "committed events end inside iteration 2"),
     "ends-at-nothing": (commit_at_line_end(0), "committed events end inside iteration 1"),
     "ends-inside-a-line": (
         commit_at_line_end(8, cut=5), "event log line 8 is not an event ending by offset"),
+    "iteration-best-edited": (set_field(11, iteration_best=0.5), differs(12, 3)),
+    "child-score-edited": (set_field(4, child_score=0.5), differs(5, 2)),
+    "non-elite-manifest-score": (
+        lambda out: edit_json(out / "archives" / "it0003_slot01" / "manifest.json", score=0.5),
+        differs(10, 3)),
 }
 
 
@@ -687,6 +699,24 @@ def test_resume_of_tampered_root_exits_3_and_changes_nothing(tmp_path, capsys, n
     assert main(["resume", "--output", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("corrupt state:") and message in err, err
+    assert root_bytes(out) == before
+
+
+@pytest.mark.parametrize("learning_rate", [0.3, 1e308])
+def test_resume_under_a_changed_learning_rate_exits_3_and_changes_nothing(tmp_path, capsys,
+                                                                         learning_rate):
+    # run_config.json must be the file the log was written under; this
+    # root's allocator first updates in iteration 2 (the table's root
+    # updates it in none of its iterations), and at 1e308 that update
+    # overflows to NaN probabilities, which no committed log holds
+    out = tmp_path / "run"
+    assert main(["run", "--output", str(out), "--seed", "11", "--population", "3",
+                 "--max-iterations", "2", "--patience", "50"]) == 0
+    edit_json(out / "run_config.json", learning_rate=learning_rate)
+    before = root_bytes(out)
+    capsys.readouterr()
+    assert main(["resume", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"corrupt state: {differs(9, 2)}\n"
     assert root_bytes(out) == before
 
 
